@@ -32,7 +32,7 @@ def layer_term(w_in: int, w_out: int, l: int, params: CalibrationParams) -> floa
 
 
 def compute_ads(spec: ArchitectureSpec, params: CalibrationParams) -> AdsScore:
-    problems = arch_diagnostics(spec.depth, spec.widths, spec.topology_tag)
+    problems = arch_diagnostics(spec)
     if problems:
         raise ValueError("invalid architecture spec: " + "; ".join(problems))
     for name in ("alpha", "beta", "b", "c"):

@@ -22,10 +22,6 @@ CATEGORIES = ("uniform", "increasing", "decreasing", "bottleneck", "spindle", "r
 DESK_DEPTHS = (3, 5, 10)
 DESK_WIDTHS = (32, 48, 64, 96, 128, 160, 192, 256, 320, 384, 512, 768, 1024)
 
-# the full-scale grid from the source protocol (not desk-feasible)
-FULL_DEPTHS = (3, 5, 10, 15, 20, 25)
-FULL_WIDTHS = (256, 512, 1024, 2048, 4096)
-
 MAX_ATTEMPTS_PER_SPEC = 500
 
 
@@ -66,13 +62,8 @@ class PoolConfig:
         object.__setattr__(self, "width_candidates", tuple(sorted(self.width_candidates)))
 
 
-def desk_pool_config(per_category: int = 35, seed: int = 0, **kw) -> PoolConfig:
+def desk_pool_config(per_category: int, seed: int, **kw) -> PoolConfig:
     return PoolConfig(per_category_counts=_category_counts(per_category), seed=seed, **kw)
-
-
-def validate_spec(spec: ArchitectureSpec) -> list[str]:
-    """Pure invariant check; returns diagnostics, empty when the architecture is valid."""
-    return arch_diagnostics(spec.depth, spec.widths, spec.topology_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +216,16 @@ def generate_pool(cfg: PoolConfig) -> list[ArchitectureSpec]:
 # manifest serialization
 # ---------------------------------------------------------------------------
 
+def pool_entries(pool: list[ArchitectureSpec]) -> list[tuple[str, ArchitectureSpec]]:
+    """(arch_id, spec) pairs, numbered in pool order as the manifest numbers them."""
+    return [(f"arch{i:04d}", spec) for i, spec in enumerate(pool)]
+
+
 def pool_to_manifest(pool: list[ArchitectureSpec], seed: int = 0) -> str:
     lines = ["# arch pool manifest v1", f"# seed={seed}"]
-    for i, spec in enumerate(pool):
+    for arch_id, spec in pool_entries(pool):
         widths = ",".join(str(w) for w in spec.widths)
-        lines.append(f"arch{i:04d}\t{spec.depth}\t{widths}\t{spec.topology_tag}")
+        lines.append(f"{arch_id}\t{spec.depth}\t{widths}\t{spec.topology_tag}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,7 +239,7 @@ def manifest_to_pool(text: str) -> list[tuple[str, ArchitectureSpec]]:
         arch_id, depth_s, widths_s, tag = line.split("\t")
         widths = tuple(int(w) for w in widths_s.split(","))
         spec = ArchitectureSpec(depth=int(depth_s), widths=widths, topology_tag=tag)
-        problems = validate_spec(spec)
+        problems = arch_diagnostics(spec)
         if problems:
             raise ValueError(f"manifest entry {arch_id}: " + "; ".join(problems))
         out.append((arch_id, spec))

@@ -9,16 +9,15 @@ class:
 
 The width fit uses only layers whose input AND output widths are hidden
 widths (layer index >= 2), mirroring how the scaling law is stated over
-the hidden stack. Parameter profiles serialize to a small INI file and
-can be loaded by id from a profiles directory, which is how the
-"small shift" / "large shift" transfer presets work.
+the hidden stack. Parameter profiles serialize to a small INI file; an
+experiment's ``[calib] profile`` key scores with a stored profile by id,
+which is how the "small shift" / "large shift" transfer presets work.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,9 +189,3 @@ def load_profile(path) -> CalibrationParams:
         params_id=cp["provenance"].get("params_id", "params"),
     )
 
-
-def load_profile_by_id(profiles_dir, params_id: str) -> CalibrationParams:
-    path = os.path.join(str(profiles_dir), f"{params_id}.profile")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no parameter profile {params_id!r} in {profiles_dir}")
-    return load_profile(path)

@@ -10,11 +10,13 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import harness
 from .ads import compute_ads
-from .archpool import generate_pool, load_manifest, save_manifest
-from .calib import load_profile
+from .archpool import generate_pool, load_manifest, pool_entries, save_manifest
+from .calib import load_profile, save_profile
+from .datasets import make_scenario
 from .harness import emit_report, load_config, run_experiment
 from .nncore import ArchitectureSpec
 from .synthdata import generate_dataset
@@ -103,12 +105,10 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"no scenario {sid!r} in config")
     spec = matches[0]
     datasets = harness.load_dataset_pool(cfg)
-    from .datasets import make_scenario
     scenario = make_scenario(spec, datasets, seed=cfg.seeds[0])
-    pool_entries = [(f"arch{i:04d}", a) for i, a in enumerate(generate_pool(cfg.pool))]
     fraction = args.fraction if args.fraction is not None else spec.calib_fraction
-    params = harness.run_calibration(cfg, scenario, pool_entries, fraction)
-    from .calib import save_profile
+    params = harness.run_calibration(cfg, scenario, pool_entries(generate_pool(cfg.pool)),
+                                     fraction)
     save_profile(params, args.out)
     print(f"alpha={params.alpha:.4f} beta={params.beta:.4f} "
           f"b={params.b:.4f} c={params.c:.4f} -> {args.out}")
@@ -126,11 +126,13 @@ def cmd_run(args) -> int:
     if args.pool:
         # adopt the supplied manifest as the experiment's pool
         load_manifest(args.pool)  # validate before copying
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        target = os.path.join(cfg.out_dir, "pool.manifest")
-        if not os.path.exists(target):
-            with open(args.pool) as src, open(target, "w") as dst:
-                dst.write(src.read())
+        supplied = Path(args.pool).read_bytes()
+        target = Path(cfg.out_dir, "pool.manifest")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if not target.exists():
+            target.write_bytes(supplied)
+        elif target.read_bytes() != supplied:
+            raise ValueError(f"{target} already exists and differs from {args.pool}")
     progress = None
     if not args.quiet:
         def progress(rec):

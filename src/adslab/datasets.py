@@ -22,9 +22,6 @@ DATASET_NAMES = ("mnist", "fashion_mnist", "cifar10")
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-CACHE_MAGIC = b"ADSD"
-CACHE_VERSION = 1
-
 CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
 
 
@@ -302,9 +299,6 @@ class Scenario:
     def input_dim(self) -> int:
         return self.task1_train.n_features
 
-    def as_tuple(self):
-        return (self.task1_train, self.task1_eval, self.task2_train, self.calib_subset)
-
 
 def _filter_remap(ds: Dataset, classes: Sequence[int]) -> Dataset:
     classes = sorted(classes)
@@ -376,39 +370,3 @@ def make_scenario(spec: ScenarioSpec, pool: Mapping[str, Mapping[str, Dataset]],
 
     return Scenario(spec, t1_train, task1_eval, t2_train, calib, task2_eval, n_classes, seed)
 
-
-# ---------------------------------------------------------------------------
-# converted-dataset cache ("ADSD" container)
-# ---------------------------------------------------------------------------
-
-def save_dataset_cache(ds: Dataset, path) -> None:
-    name_b = ds.name.encode()
-    split_b = ds.split.encode()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
-        fh.write(struct.pack("<II", len(ds), ds.n_features))
-        fh.write(struct.pack("<I", len(name_b)))
-        fh.write(name_b)
-        fh.write(struct.pack("<I", len(split_b)))
-        fh.write(split_b)
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(ds.images, dtype="<f8").tobytes())
-
-
-def load_dataset_cache(path) -> Dataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CACHE_MAGIC:
-        raise ValueError(f"bad cache magic {data[:4]!r}, expected {CACHE_MAGIC!r}")
-    version, n, d = struct.unpack("<III", data[4:16])
-    if version != CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {version}")
-    off = 16
-    (name_len,) = struct.unpack("<I", data[off:off + 4]); off += 4
-    name = data[off:off + name_len].decode(); off += name_len
-    (split_len,) = struct.unpack("<I", data[off:off + 4]); off += 4
-    split = data[off:off + split_len].decode(); off += split_len
-    labels = np.frombuffer(data, dtype="<i8", count=n, offset=off).astype(np.int64); off += 8 * n
-    images = np.frombuffer(data, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-    return Dataset(name, images, labels, split)

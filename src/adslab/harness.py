@@ -15,8 +15,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,9 +38,9 @@ CIFAR_TEST_BATCH = "test_batch.bin"
 
 @dataclass
 class ExperimentConfig:
-    scenarios: list = field(default_factory=list)     # ScenarioSpec entries
+    scenarios: list[ScenarioSpec] = field(default_factory=list)
     pool: PoolConfig = field(default_factory=PoolConfig)
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     workers: int = 1
     out_dir: str = "experiment"
     data_root: str = "data"
@@ -54,7 +55,7 @@ class ExperimentConfig:
     eval_cap: int = 2000
     min_task1_acc: float = 0.8
     n_calib_archs: int = 10
-    calib_fractions: tuple = ()      # defaults to each scenario's calib_fraction
+    calib_fractions: tuple[float, ...] = ()  # defaults to each scenario's calib_fraction
     transfer_profile: str = ""       # load this profile id instead of calibrating
     profiles_dir: str = ""           # defaults to <out_dir>/params
     n_perm: int = 999
@@ -73,152 +74,140 @@ class ExperimentConfig:
         return os.environ.get(ENV_DATA_ROOT, self.data_root)
 
     def resolved_workers(self) -> int:
-        return int(os.environ.get(ENV_WORKERS, self.workers))
+        raw = os.environ.get(ENV_WORKERS)
+        if raw is None:
+            return self.workers
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}")
+        return int(raw)
 
     def resolved_profiles_dir(self) -> str:
         return self.profiles_dir or os.path.join(self.out_dir, "params")
+
+    def profile_path(self, pid: str) -> str:
+        return os.path.join(self.resolved_profiles_dir(), f"{pid}.profile")
+
+    def fractions_for(self, spec: ScenarioSpec) -> tuple[float, ...]:
+        """The calibration fractions a scenario's profiles are fitted on."""
+        return self.calib_fractions or (spec.calib_fraction,)
+
+    def scoring_profile_path(self, spec: ScenarioSpec) -> str:
+        """Path of the profile that scores a scenario's architectures: the
+        transfer preset when one is set, else the fit on the first fraction."""
+        return self.profile_path(self.transfer_profile
+                                 or profile_id(spec.scenario_id, self.fractions_for(spec)[0]))
+
+
+def profile_id(scenario_id: str, fraction: float) -> str:
+    """Id of the profile fitted for a scenario on a calibration fraction."""
+    return f"{scenario_id}_f{int(round(fraction * 100)):03d}"
 
 
 # ---------------------------------------------------------------------------
 # config file (INI with one [scenario <id>] section per scenario)
 # ---------------------------------------------------------------------------
 
-def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(v) for v in s.replace(" ", "").split(",") if v)
+# (section, key) of every ExperimentConfig and PoolConfig field; ScenarioSpec
+# fields use their own names in [scenario <id>], and per_category_counts is one
+# count_<tag> key per category, or a single per_category count when hand-written
+INI_KEYS = {
+    "seeds": ("experiment", "seeds"),
+    "workers": ("experiment", "workers"),
+    "out_dir": ("experiment", "out"),
+    "data_root": ("experiment", "data_root"),
+    "eval_cap": ("experiment", "eval_cap"),
+    "min_task1_acc": ("experiment", "min_task1_acc"),
+    "epochs_per_task": ("train", "epochs_per_task"),
+    "steps_per_task": ("train", "steps_per_task"),
+    "batch_size": ("train", "batch_size"),
+    "lr": ("train", "lr"),
+    "momentum": ("train", "momentum"),
+    "weight_decay": ("train", "weight_decay"),
+    "trace_every": ("train", "trace_every"),
+    "path_segments": ("train", "path_segments"),
+    "depths": ("pool", "depths"),
+    "width_candidates": ("pool", "widths"),
+    "per_category_counts": ("pool", "count_"),
+    "seed": ("pool", "seed"),
+    "input_dim": ("pool", "input_dim"),
+    "output_dim": ("pool", "output_dim"),
+    "n_calib_archs": ("calib", "n_archs"),
+    "calib_fractions": ("calib", "fractions"),
+    "transfer_profile": ("calib", "profile"),
+    "profiles_dir": ("calib", "profiles_dir"),
+    "n_perm": ("stats", "n_perm"),
+    "n_boot": ("stats", "n_boot"),
+    "baseline_perms": ("stats", "baseline_perms"),
+}
 
 
-def _parse_float_tuple(s: str) -> tuple:
-    return tuple(float(v) for v in s.replace(" ", "").split(",") if v)
+def _parse(tp, text: str):
+    """INI text to a value of the annotated field type (int, float, str or a tuple of one)."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
+        return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
+    return tp(text)
 
 
-def scenario_from_section(sid: str, sec) -> ScenarioSpec:
-    kind = sec.get("kind")
-    common = dict(
-        eval_fraction=float(sec.get("eval_fraction", 0.2)),
-        calib_fraction=float(sec.get("calib_fraction", 0.3)),
-    )
-    if kind == "transfer":
-        return ScenarioSpec(sid, "transfer", src=sec.get("src"), dst=sec.get("dst"), **common)
-    if kind == "split":
-        return ScenarioSpec(sid, "split", dataset=sec.get("dataset"),
-                            classes_a=_parse_int_tuple(sec.get("classes_a")),
-                            classes_b=_parse_int_tuple(sec.get("classes_b")), **common)
-    if kind == "rotated":
-        return ScenarioSpec(sid, "rotated", dataset=sec.get("dataset"),
-                            angle_a=float(sec.get("angle_a", 0.0)),
-                            angle_b=float(sec.get("angle_b", 0.0)), **common)
-    raise ValueError(f"scenario {sid}: unknown kind {kind!r}")
+def _parse_section(section: str, items: dict, names: dict, hints: dict) -> dict:
+    """Field values of one INI section; ``names`` maps each known key to its field."""
+    values = {}
+    for key, text in items.items():
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in section [{section}]")
+        values[names[key]] = _parse(hints[names[key]], text)
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    train = cp["train"] if cp.has_section("train") else {}
-    poolsec = cp["pool"] if cp.has_section("pool") else {}
-    calib = cp["calib"] if cp.has_section("calib") else {}
-    statsec = cp["stats"] if cp.has_section("stats") else {}
-
-    scenarios = []
+    hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(PoolConfig)
+    spec_hints = typing.get_type_hints(ScenarioSpec)
+    spec_keys = {name: name for name in spec_hints if name != "scenario_id"}
+    values, scenarios = {}, []
     for section in cp.sections():
+        items = dict(cp[section])
         if section.startswith("scenario"):
             sid = section.split(None, 1)[1] if " " in section else section
-            scenarios.append(scenario_from_section(sid, cp[section]))
-
-    pool_kwargs = {}
-    if "depths" in poolsec:
-        pool_kwargs["depths"] = _parse_int_tuple(poolsec["depths"])
-    if "widths" in poolsec:
-        pool_kwargs["width_candidates"] = _parse_int_tuple(poolsec["widths"])
-    tag_counts = {k[len("count_"):]: int(v) for k, v in dict(poolsec).items()
-                  if k.startswith("count_")}
-    if tag_counts:
-        pool_kwargs["per_category_counts"] = tag_counts
-    elif "per_category" in poolsec:
-        pool_kwargs["per_category_counts"] = _category_counts(int(poolsec["per_category"]))
-    pool_kwargs["seed"] = int(poolsec.get("seed", 0))
-    if "input_dim" in poolsec:
-        pool_kwargs["input_dim"] = int(poolsec["input_dim"])
-    if "output_dim" in poolsec:
-        pool_kwargs["output_dim"] = int(poolsec["output_dim"])
-    pool = PoolConfig(**pool_kwargs)
-
-    return ExperimentConfig(
-        scenarios=scenarios,
-        pool=pool,
-        seeds=_parse_int_tuple(exp.get("seeds", "0,1,2")),
-        workers=int(exp.get("workers", 1)),
-        out_dir=exp.get("out", "experiment"),
-        data_root=exp.get("data_root", "data"),
-        epochs_per_task=int(train.get("epochs_per_task", 1)),
-        steps_per_task=int(train.get("steps_per_task", 0)),
-        batch_size=int(train.get("batch_size", 128)),
-        lr=float(train.get("lr", 1e-3)),
-        momentum=float(train.get("momentum", 0.9)),
-        weight_decay=float(train.get("weight_decay", 5e-4)),
-        trace_every=int(train.get("trace_every", 2)),
-        path_segments=int(train.get("path_segments", 12)),
-        eval_cap=int(exp.get("eval_cap", 2000)),
-        min_task1_acc=float(exp.get("min_task1_acc", 0.8)),
-        n_calib_archs=int(calib.get("n_archs", 10)),
-        calib_fractions=_parse_float_tuple(calib.get("fractions", "")),
-        transfer_profile=calib.get("profile", ""),
-        profiles_dir=calib.get("profiles_dir", ""),
-        n_perm=int(statsec.get("n_perm", 999)),
-        n_boot=int(statsec.get("n_boot", 1000)),
-    )
+            spec_values = _parse_section(section, items, spec_keys, spec_hints)
+            try:
+                scenarios.append(ScenarioSpec(sid, **spec_values))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"[{section}]: {exc}") from None
+            continue
+        if section == "pool":
+            if "per_category" in items:
+                values["per_category_counts"] = _category_counts(int(items.pop("per_category")))
+            counts = {k[len("count_"):]: int(items.pop(k))
+                      for k in list(items) if k.startswith("count_")}
+            if counts:
+                values["per_category_counts"] = counts
+        names = {key: name for name, (sec, key) in INI_KEYS.items() if sec == section}
+        values |= _parse_section(section, items, names, hints)
+    pool_names = {f.name for f in fields(PoolConfig)}
+    pool = PoolConfig(**{k: v for k, v in values.items() if k in pool_names})
+    return ExperimentConfig(scenarios=scenarios, pool=pool,
+                            **{k: v for k, v in values.items() if k not in pool_names})
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    cp = configparser.ConfigParser()
-    cp["experiment"] = {
-        "out": cfg.out_dir,
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "workers": str(cfg.workers),
-        "data_root": cfg.data_root,
-        "eval_cap": str(cfg.eval_cap),
-        "min_task1_acc": repr(cfg.min_task1_acc),
-    }
-    cp["train"] = {
-        "epochs_per_task": str(cfg.epochs_per_task),
-        "steps_per_task": str(cfg.steps_per_task),
-        "batch_size": str(cfg.batch_size),
-        "lr": repr(cfg.lr),
-        "momentum": repr(cfg.momentum),
-        "weight_decay": repr(cfg.weight_decay),
-        "trace_every": str(cfg.trace_every),
-        "path_segments": str(cfg.path_segments),
-    }
-    cp["pool"] = {
-        "depths": ",".join(str(d) for d in cfg.pool.depths),
-        "widths": ",".join(str(w) for w in cfg.pool.width_candidates),
-        "seed": str(cfg.pool.seed),
-        "input_dim": str(cfg.pool.input_dim),
-        "output_dim": str(cfg.pool.output_dim),
-    } | {f"count_{tag}": str(n) for tag, n in cfg.pool.per_category_counts.items()}
-    cp["calib"] = {
-        "n_archs": str(cfg.n_calib_archs),
-        "fractions": ",".join(repr(f) for f in cfg.calib_fractions),
-        "profile": cfg.transfer_profile,
-        "profiles_dir": cfg.profiles_dir,
-    }
-    cp["stats"] = {"n_perm": str(cfg.n_perm), "n_boot": str(cfg.n_boot)}
+    sections: dict = {}
+    for obj in (cfg, cfg.pool):
+        for f in fields(obj):
+            if f.name in ("scenarios", "pool"):
+                continue
+            section, key = INI_KEYS[f.name]
+            value = getattr(obj, f.name)
+            items = ({f"count_{tag}": n for tag, n in value.items()}
+                     if f.name == "per_category_counts" else {key: value})
+            sections.setdefault(section, {}).update({k: _fmt(v) for k, v in items.items()})
     for spec in cfg.scenarios:
-        sec = f"scenario {spec.scenario_id}"
-        d = {"kind": spec.kind,
-             "eval_fraction": repr(spec.eval_fraction),
-             "calib_fraction": repr(spec.calib_fraction)}
-        if spec.kind == "transfer":
-            d |= {"src": spec.src, "dst": spec.dst}
-        elif spec.kind == "split":
-            d |= {"dataset": spec.dataset,
-                  "classes_a": ",".join(map(str, spec.classes_a)),
-                  "classes_b": ",".join(map(str, spec.classes_b))}
-        else:
-            d |= {"dataset": spec.dataset,
-                  "angle_a": repr(spec.angle_a), "angle_b": repr(spec.angle_b)}
-        cp[sec] = d
+        sections[f"scenario {spec.scenario_id}"] = {
+            f.name: _fmt(getattr(spec, f.name)) for f in fields(spec) if f.name != "scenario_id"}
+    cp = configparser.ConfigParser()
+    cp.read_dict(sections)
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -242,11 +231,7 @@ def dataset_paths(root: str, name: str) -> dict:
 
 def load_named_dataset(root: str, name: str) -> dict:
     paths = dataset_paths(root, name)
-    missing = []
-    for split_paths in paths.values():
-        for p in (split_paths if isinstance(split_paths, list) else list(split_paths)):
-            if not os.path.exists(p):
-                missing.append(p)
+    missing = [p for split_paths in paths.values() for p in split_paths if not os.path.exists(p)]
     if missing:
         raise FileNotFoundError(
             f"dataset {name!r} is missing files under {root!r}:\n  "
@@ -330,8 +315,8 @@ def run_calibration(cfg: ExperimentConfig, scenario: Scenario,
         tc = replace(tc, trace_every=1)  # dense cosine sampling for the depth fit
         runs.append(run_scenario(arch, calib_sc, tc,
                                  arch_id=f"calib_{arch_id}", eval_cap=min(cfg.eval_cap, 512)))
-    pid = f"{scenario.scenario_id}_f{int(round(fraction * 100)):03d}"
-    return calibrate_params(runs, source=f"{scenario.scenario_id}@{fraction}", params_id=pid)
+    return calibrate_params(runs, source=f"{scenario.scenario_id}@{fraction}",
+                            params_id=profile_id(scenario.scenario_id, fraction))
 
 
 def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
@@ -355,31 +340,20 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
                  for s in cfg.scenarios}
 
     manifest_path = os.path.join(out, "pool.manifest")
-    if os.path.exists(manifest_path):
-        pool_entries = load_manifest(manifest_path)
-    else:
-        pool = generate_pool(cfg.pool)
-        save_manifest(pool, manifest_path, seed=cfg.pool.seed)
-        pool_entries = load_manifest(manifest_path)
+    if not os.path.exists(manifest_path):
+        save_manifest(generate_pool(cfg.pool), manifest_path, seed=cfg.pool.seed)
+    pool_entries = load_manifest(manifest_path)
 
-    # calibration (or transfer-profile loading) per scenario
-    params_by_scenario = {}
-    for sid, scenario in scenarios.items():
-        fractions = cfg.calib_fractions or (scenario.spec.calib_fraction,)
-        if cfg.transfer_profile:
-            path = os.path.join(cfg.resolved_profiles_dir(), f"{cfg.transfer_profile}.profile")
-            params_by_scenario[sid] = load_profile(path)
-            continue
-        fitted = {}
-        for fraction in fractions:
-            pid = f"{sid}_f{int(round(fraction * 100)):03d}"
-            path = os.path.join(cfg.resolved_profiles_dir(), f"{pid}.profile")
-            if os.path.exists(path):
-                fitted[fraction] = load_profile(path)
-            else:
-                fitted[fraction] = run_calibration(cfg, scenario, pool_entries, fraction)
-                save_profile(fitted[fraction], path)
-        params_by_scenario[sid] = fitted[fractions[0]]
+    # calibration per scenario, unless a transfer preset scores every scenario;
+    # a missing scoring profile fails here, before the pool phase
+    for spec in cfg.scenarios:
+        if not cfg.transfer_profile:
+            for fraction in cfg.fractions_for(spec):
+                path = cfg.profile_path(profile_id(spec.scenario_id, fraction))
+                if not os.path.exists(path):
+                    save_profile(run_calibration(cfg, scenarios[spec.scenario_id],
+                                                 pool_entries, fraction), path)
+        load_profile(cfg.scoring_profile_path(spec))
 
     # full pool runs, resumable by key
     records_path = os.path.join(out, "records.jsonl")
@@ -387,10 +361,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
     if os.path.exists(records_path):
         done = {tuple(r.key) for r in read_records(records_path)}
 
-    jobs = []
-    for arch_id, scenario_id, seed in experiment_run_keys(cfg, pool_entries):
-        if (arch_id, scenario_id, seed) not in done:
-            jobs.append((arch_id, scenario_id, seed))
+    jobs = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
     arch_by_id = dict(pool_entries)
 
     def execute(job):
@@ -401,20 +372,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
         return run_scenario(arch_by_id[arch_id], scenario, tc,
                             arch_id=arch_id, eval_cap=cfg.eval_cap)
 
+    # one worker runs the jobs in this thread; the executor starts no thread until map
     workers = cfg.resolved_workers()
-    if jobs:
-        if workers == 1:
-            for job in jobs:
-                rec = execute(job)
-                append_records(records_path, [rec])
-                if progress:
-                    progress(rec)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for rec in ex.map(execute, jobs):
-                    append_records(records_path, [rec])
-                    if progress:
-                        progress(rec)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for rec in (map if workers == 1 else ex.map)(execute, jobs):
+            append_records(records_path, [rec])
+            if progress:
+                progress(rec)
 
     emit_report(out)
     return out
@@ -460,7 +424,7 @@ def aggregate_scenario(records: list, sid: str, arch_by_id: dict,
                              np.array(drifts), n_runs, n_excluded)
 
 
-def selector_baseline(agg: ScenarioAggregate, n_perms: int = 200, seed: int = 0) -> float:
+def selector_baseline(agg: ScenarioAggregate, n_perms: int, seed: int = 0) -> float:
     """Mean AUC-PR of score-shuffled selectors (the random baseline)."""
     rng = np.random.default_rng(seed)
     vals = []
@@ -472,6 +436,9 @@ def selector_baseline(agg: ScenarioAggregate, n_perms: int = 200, seed: int = 0)
 
 
 def _fmt(x) -> str:
+    """A CSV cell or an INI value as text; floats in full precision, tuples comma-joined."""
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, np.integer):
@@ -498,7 +465,7 @@ def emit_report(exp_dir: str) -> list:
     pool_entries = load_manifest(manifest_path)
     arch_by_id = dict(pool_entries)
 
-    expected = {k for k in experiment_run_keys(cfg, pool_entries)}
+    expected = set(experiment_run_keys(cfg, pool_entries))
     have = {tuple(r.key) for r in records}
     missing = sorted(expected - have)
     if missing:
@@ -515,10 +482,7 @@ def emit_report(exp_dir: str) -> list:
     summary_rows = []
     for spec in cfg.scenarios:
         sid = spec.scenario_id
-        pid = f"{sid}_f{int(round((cfg.calib_fractions or (spec.calib_fraction,))[0] * 100)):03d}"
-        if cfg.transfer_profile:
-            pid = cfg.transfer_profile
-        params = load_profile(os.path.join(cfg.resolved_profiles_dir(), f"{pid}.profile"))
+        params = load_profile(cfg.scoring_profile_path(spec))
         agg = aggregate_scenario(records, sid, arch_by_id, params, cfg.min_task1_acc)
         if len(agg.arch_ids) < 3:
             raise ValueError(
@@ -571,8 +535,7 @@ def emit_report(exp_dir: str) -> list:
         for spec in cfg.scenarios:
             sid = spec.scenario_id
             for fraction in cfg.calib_fractions:
-                pid = f"{sid}_f{int(round(fraction * 100)):03d}"
-                path = os.path.join(cfg.resolved_profiles_dir(), f"{pid}.profile")
+                path = cfg.profile_path(profile_id(sid, fraction))
                 if not os.path.exists(path):
                     continue
                 params = load_profile(path)
@@ -600,7 +563,8 @@ def _axis_ticks(lo: float, hi: float, n: int = 5) -> list:
     return list(np.linspace(lo, hi, n))
 
 
-def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> list:
+def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> tuple:
+    """The frame's SVG elements and the data-to-pixel maps of x and y."""
     def sx(v):
         return MARGIN + (v - xr[0]) / (xr[1] - xr[0]) * (SVG_W - 2 * MARGIN)
 
@@ -630,7 +594,7 @@ def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> list:
                      f'y2="{sy(v):.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN - 8}" y="{sy(v):.1f}" text-anchor="end" '
                      f'font-size="10">{v:.3g}</text>')
-    return parts
+    return parts, sx, sy
 
 
 def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path,
@@ -639,14 +603,7 @@ def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path,
     y = np.asarray(y, dtype=np.float64)
     xr = (float(x.min()), float(x.max()) if x.max() > x.min() else float(x.min()) + 1)
     yr = (float(y.min()), float(y.max()) if y.max() > y.min() else float(y.min()) + 1)
-    parts = _svg_frame(title, xlabel, ylabel, _axis_ticks(*xr), _axis_ticks(*yr), xr, yr)
-
-    def sx(v):
-        return MARGIN + (v - xr[0]) / (xr[1] - xr[0]) * (SVG_W - 2 * MARGIN)
-
-    def sy(v):
-        return SVG_H - MARGIN - (v - yr[0]) / (yr[1] - yr[0]) * (SVG_H - 2 * MARGIN)
-
+    parts, sx, sy = _svg_frame(title, xlabel, ylabel, _axis_ticks(*xr), _axis_ticks(*yr), xr, yr)
     ranks = stats.rankdata(x)
     for i in range(len(x)):
         parts.append(f'<circle cx="{sx(x[i]):.1f}" cy="{sy(y[i]):.1f}" r="3.5" '
@@ -663,14 +620,7 @@ def svg_curve(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     xr, yr = (0.0, 1.0), (0.0, 1.0)
-    parts = _svg_frame(title, xlabel, ylabel, _axis_ticks(0, 1), _axis_ticks(0, 1), xr, yr)
-
-    def sx(v):
-        return MARGIN + v * (SVG_W - 2 * MARGIN)
-
-    def sy(v):
-        return SVG_H - MARGIN - v * (SVG_H - 2 * MARGIN)
-
+    parts, sx, sy = _svg_frame(title, xlabel, ylabel, _axis_ticks(0, 1), _axis_ticks(0, 1), xr, yr)
     order = np.argsort(x, kind="stable")
     pts = " ".join(f"{sx(x[i]):.1f},{sy(y[i]):.1f}" for i in order)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="firebrick" stroke-width="2"/>')

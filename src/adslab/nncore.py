@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
+
+from .stats import softmax
 
 TOPOLOGY_TAGS = ("uniform", "increasing", "decreasing", "bottleneck", "spindle", "random")
 
@@ -56,18 +58,19 @@ class ArchitectureSpec:
         )
 
 
-def arch_diagnostics(depth: int, widths: Sequence[int], topology_tag: str = "uniform") -> list[str]:
+def arch_diagnostics(spec: ArchitectureSpec) -> list[str]:
     """Check ArchitectureSpec invariants; returns problem descriptions (empty = ok)."""
     problems = []
-    if depth < 1:
-        problems.append(f"depth must be >= 1, got {depth}")
-    if len(widths) != depth + 2:
-        problems.append(f"widths length must be depth+2 = {depth + 2}, got {len(widths)}")
-    for i, w in enumerate(widths):
-        if int(w) < 1:
+    if spec.depth < 1:
+        problems.append(f"depth must be >= 1, got {spec.depth}")
+    if len(spec.widths) != spec.depth + 2:
+        problems.append(f"widths length must be depth+2 = {spec.depth + 2}, "
+                        f"got {len(spec.widths)}")
+    for i, w in enumerate(spec.widths):
+        if w < 1:
             problems.append(f"width must be >= 1, got {w} at position {i}")
-    if topology_tag not in TOPOLOGY_TAGS:
-        problems.append(f"unknown topology tag {topology_tag!r}")
+    if spec.topology_tag not in TOPOLOGY_TAGS:
+        problems.append(f"unknown topology tag {spec.topology_tag!r}")
     return problems
 
 
@@ -100,12 +103,6 @@ class OptimizerState:
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            [b.copy() for b in self.momentum_buffers],
-            self.lr, self.momentum, self.weight_decay,
-        )
-
 
 def init_optimizer(net: DenseNet, lr: float, momentum: float = 0.0,
                    weight_decay: float = 0.0) -> OptimizerState:
@@ -128,13 +125,10 @@ class GradientSet:
     layers: list[np.ndarray]
     kind: str  # "loss_grad" (g_new) or "logit_grad" (g_old)
 
-    def copy(self) -> "GradientSet":
-        return GradientSet([g.copy() for g in self.layers], self.kind)
-
 
 def init_network(spec: ArchitectureSpec, seed: int) -> DenseNet:
     """Kaiming-normal (fan-in) initialization: std = sqrt(2 / w^(l-1))."""
-    problems = arch_diagnostics(spec.depth, spec.widths, spec.topology_tag)
+    problems = arch_diagnostics(spec)
     if problems:
         raise ValueError("invalid architecture spec: " + "; ".join(problems))
     rng = np.random.default_rng(seed)
@@ -164,12 +158,6 @@ def forward(net: DenseNet, batch: np.ndarray) -> ForwardTrace:
         activations.append(a)
     logits = a @ net.weights[-1].T
     return ForwardTrace(activations, preactivations, logits)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _backward(net: DenseNet, trace: ForwardTrace, dlogits: np.ndarray,
@@ -204,7 +192,7 @@ def loss_and_backward(net: DenseNet, trace: ForwardTrace,
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label out of range [0, {n_classes})")
-    probs = _softmax(trace.logits)
+    probs = softmax(trace.logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
@@ -217,7 +205,7 @@ def error_signals(net: DenseNet, trace: ForwardTrace, labels: np.ndarray) -> lis
     """Per-layer error signals delta^(l) of the cross-entropy loss, l = 1..L+1."""
     labels = np.asarray(labels)
     n = trace.logits.shape[0]
-    probs = _softmax(trace.logits)
+    probs = softmax(trace.logits)
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n

@@ -176,53 +176,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def nll(logits: np.ndarray, labels: np.ndarray) -> float:
-    probs = softmax(logits)
-    return float(-np.mean(np.log(probs[np.arange(len(labels)), labels] + 1e-300)))
-
-
 def ece_of_logits(logits: np.ndarray, labels: np.ndarray, n_bins: int = ECE_BINS) -> float:
     probs = softmax(logits)
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
     return ece(conf, correct, n_bins)
-
-
-def temperature_scale(logits: np.ndarray, labels: np.ndarray,
-                      log_t_lo: float = -3.0, log_t_hi: float = 3.0,
-                      tol: float = 1e-4) -> tuple[float, float]:
-    """Fit the post-hoc temperature by NLL golden-section search on log T.
-
-    Returns (T, ECE of logits / T). Hitting a search bound is flagged with
-    a warning rather than an error.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise ValueError("empty validation set")
-
-    def objective(log_t: float) -> float:
-        return nll(logits / math.exp(log_t), labels)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = log_t_lo, log_t_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    log_t = 0.5 * (a + b)
-    if log_t - log_t_lo < 2 * tol or log_t_hi - log_t < 2 * tol:
-        warnings.warn(f"temperature search hit a bound (log T = {log_t:.4f})")
-    t = math.exp(log_t)
-    return t, ece_of_logits(logits / t, labels)
 
 
 # ---------------------------------------------------------------------------

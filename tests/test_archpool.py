@@ -12,9 +12,8 @@ from adslab.archpool import (
     manifest_to_pool,
     pool_to_manifest,
     save_manifest,
-    validate_spec,
 )
-from adslab.nncore import ArchitectureSpec
+from adslab.nncore import ArchitectureSpec, arch_diagnostics
 
 
 def hidden(spec):
@@ -78,14 +77,14 @@ class TestGeneratePool:
 
 class TestValidateSpec:
     def test_ok(self):
-        assert validate_spec(ArchitectureSpec(1, (784, 256, 10))) == []
+        assert arch_diagnostics(ArchitectureSpec(1, (784, 256, 10))) == []
 
     def test_zero_width(self):
-        diags = validate_spec(ArchitectureSpec(1, (784, 0, 10)))
+        diags = arch_diagnostics(ArchitectureSpec(1, (784, 0, 10)))
         assert any("width" in d for d in diags)
 
     def test_length_mismatch(self):
-        diags = validate_spec(ArchitectureSpec(2, (784, 256, 10)))
+        diags = arch_diagnostics(ArchitectureSpec(2, (784, 256, 10)))
         assert any("length" in d for d in diags)
 
 

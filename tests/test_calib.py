@@ -11,7 +11,6 @@ from adslab.calib import (
     fit_depth_profile,
     fit_width_exponents,
     load_profile,
-    load_profile_by_id,
     save_profile,
 )
 from adslab.clrun import LayerTrace, RunRecord
@@ -183,15 +182,9 @@ class TestProfiles:
         assert q.source == "mf@0.3"
         assert q.n_layer_records == 120
 
-    def test_load_by_id(self, tmp_path):
-        p = CalibrationParams(0.1, -0.2, 1.0, 0.3, 0.9, 0.8, 30, params_id="large_shift")
-        save_profile(p, tmp_path / "large_shift.profile")
-        q = load_profile_by_id(tmp_path, "large_shift")
-        assert q.alpha == p.alpha
-
     def test_missing_profile(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope"):
-            load_profile_by_id(tmp_path, "nope")
+            load_profile(tmp_path / "nope.profile")
 
     def test_nonfinite_params_rejected(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,11 @@ from adslab.datasets import (
     ScenarioSpec,
     feature_stats,
     load_cifar10,
-    load_dataset_cache,
     load_idx,
     make_scenario,
     rgb_to_gray28,
     rotate_images,
     sample_subset,
-    save_dataset_cache,
     standardize,
 )
 from adslab.synthdata import generate_dataset, synth_images, write_idx_pair
@@ -253,19 +251,3 @@ class TestMakeScenario:
             ScenarioSpec("bad", "split", dataset="mnist",
                          classes_a=(0, 1, 2), classes_b=(2, 3, 4))
 
-
-class TestCache:
-    def test_round_trip_bit_exact(self, synth_pool, tmp_path):
-        ds = synth_pool["mnist"]["train"]
-        path = tmp_path / "m.adsd"
-        save_dataset_cache(ds, path)
-        back = load_dataset_cache(path)
-        assert back.name == ds.name and back.split == ds.split
-        assert back.images.tobytes() == ds.images.tobytes()
-        assert back.labels.tobytes() == ds.labels.tobytes()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.adsd"
-        p.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(ValueError, match="magic"):
-            load_dataset_cache(p)

@@ -2,11 +2,12 @@
 
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from adslab.archpool import PoolConfig
+from adslab.archpool import PoolConfig, _category_counts
 from adslab.cli import main as cli_main
 from adslab.clrun import read_records
 from adslab.datasets import ScenarioSpec
@@ -38,6 +39,24 @@ def tiny_config(root, out_name="exp", seeds=(0, 1, 2), workers=1, per_category=2
     )
 
 
+def non_default_config(kind):
+    """A config in which every field that has a default is set to another value."""
+    spec = ScenarioSpec(f"s_{kind}", kind, src="cifar10", dst="mnist", dataset="fashion_mnist",
+                        classes_a=(1, 3), classes_b=(0, 2), angle_a=15.0, angle_b=350.5,
+                        eval_fraction=0.25, calib_fraction=0.125)
+    pool = PoolConfig(depths=(2, 7), width_candidates=(16, 40),
+                      per_category_counts={"uniform": 3, "spindle": 1},
+                      seed=9, input_dim=64, output_dim=5)
+    return ExperimentConfig(
+        scenarios=[spec], pool=pool, seeds=(4, 11), workers=3, out_dir="runs/x",
+        data_root="d", epochs_per_task=3, steps_per_task=17, batch_size=32, lr=0.0125,
+        momentum=0.5, weight_decay=1e-5, trace_every=3, path_segments=7, eval_cap=333,
+        min_task1_acc=0.55, n_calib_archs=4, calib_fractions=(0.25, 0.75),
+        transfer_profile="large_shift", profiles_dir="presets", n_perm=1999, n_boot=2000,
+        baseline_perms=50,
+    )
+
+
 @pytest.fixture(scope="module")
 def data_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("h")
@@ -59,6 +78,43 @@ class TestConfigFile:
         assert back.scenarios[0].scenario_id == "mf"
         assert back.scenarios[0].calib_fraction == 0.4
         assert back.lr == cfg.lr
+
+    @pytest.mark.parametrize("kind", ["transfer", "split", "rotated"])
+    def test_every_field_round_trips(self, tmp_path, kind):
+        cfg = non_default_config(kind)
+        save_config(cfg, tmp_path / "exp.ini")
+        back = load_config(tmp_path / "exp.ini")
+        for obj, loaded in ((cfg, back), (cfg.pool, back.pool),
+                            (cfg.scenarios[0], back.scenarios[0])):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if f.default is not MISSING:
+                    assert value != f.default, f"{f.name} is left at its default"
+                if f.default_factory is not MISSING:
+                    assert value != f.default_factory(), f"{f.name} is left at its default"
+                assert getattr(loaded, f.name) == value, f.name
+
+    @pytest.mark.parametrize("section,key", [("stats", "baseline_perm"),
+                                             ("scenario sp", "angle")])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        sections = {"experiment": "seeds = 0\n", "stats": "n_perm = 999\n",
+                    "scenario sp": "kind = rotated\ndataset = mnist\n"}
+        sections[section] += f"{key} = 1\n"
+        path = tmp_path / "c.ini"
+        path.write_text("".join(f"[{name}]\n{body}" for name, body in sections.items()))
+        with pytest.raises(ValueError, match=rf"{key}.*\[{section}\]"):
+            load_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            readme = fh.read()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert cfg.out_dir == "runs/mf" and cfg.pool.seed == 11
+        assert cfg.pool.per_category_counts == _category_counts(6)
+        assert cfg.calib_fractions == (0.3, 1.0)
+        assert cfg.scenarios[0].calib_fraction == 0.3
 
     def test_split_scenario_section(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -90,6 +146,10 @@ class TestDatasetResolution:
         assert cfg.resolved_data_root() == "/elsewhere"
         monkeypatch.setenv("ADSLAB_WORKERS", "7")
         assert cfg.resolved_workers() == 7
+        for bad in ("0", "abc"):
+            monkeypatch.setenv("ADSLAB_WORKERS", bad)
+            with pytest.raises(ValueError, match="ADSLAB_WORKERS"):
+                cfg.resolved_workers()
 
     def test_cifar_paths(self):
         paths = dataset_paths("r", "cifar10")
@@ -209,17 +269,28 @@ class TestCli:
         assert "correlation.csv" in capsys.readouterr().out
 
 
-    def test_run_with_supplied_pool_manifest(self, tmp_path, data_root):
+    def test_run_with_supplied_pool_manifest(self, tmp_path, data_root, capsys):
         cfg = tiny_config(str(data_root), out_name="exp_pool", seeds=(0,))
         cfg_path = tmp_path / "c.ini"
         save_config(cfg, cfg_path)
         manifest = tmp_path / "pool.manifest"
         assert cli_main(["gen-pool", "--config", str(cfg_path), "--out", str(manifest)]) == 0
         out_dir = str(tmp_path / "exp_via_pool")
-        rc = cli_main(["run", "--config", str(cfg_path), "--out", out_dir,
-                       "--pool", str(manifest), "--quiet"])
-        assert rc == 0
-        assert open(os.path.join(out_dir, "pool.manifest")).read() == manifest.read_text()
+        run = ["run", "--config", str(cfg_path), "--out", out_dir, "--quiet", "--pool"]
+        assert cli_main(run + [str(manifest)]) == 0
+        adopted = os.path.join(out_dir, "pool.manifest")
+        assert open(adopted).read() == manifest.read_text()
+
+        # the same bytes again resume; a different pool is refused, naming both files
+        assert cli_main(run + [str(manifest)]) == 0
+        other = tmp_path / "other.manifest"
+        assert cli_main(["gen-pool", "--config", str(cfg_path), "--out", str(other),
+                         "--seed", "6"]) == 0
+        capsys.readouterr()
+        assert cli_main(run + [str(other)]) == 2
+        err = capsys.readouterr().err
+        assert adopted in err and str(other) in err
+        assert open(adopted).read() == manifest.read_text()
 
 
 class TestAggregation:

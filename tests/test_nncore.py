@@ -80,7 +80,7 @@ class TestInitNetwork:
 
 
 def test_arch_diagnostics_collects_problems():
-    probs = arch_diagnostics(0, [4, 0, 3], "nope")
+    probs = arch_diagnostics(ArchitectureSpec(0, (4, 0, 3), "nope"))
     assert len(probs) == 4  # depth, length, width, tag
 
 

@@ -12,13 +12,11 @@ from adslab.stats import (
     ece,
     ece_of_logits,
     kendall,
-    nll,
     perm_p_value,
     pr_analysis,
     rankdata,
     softmax,
     spearman,
-    temperature_scale,
 )
 
 
@@ -241,29 +239,6 @@ def make_self_consistent_logits(n=20000, c=5, scale=2.0, seed=0):
     u = rng.uniform(size=n)
     labels = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
     return logits, labels
-
-
-class TestTemperatureScale:
-    def test_recovers_unit_temperature(self):
-        logits, labels = make_self_consistent_logits()
-        t, _ = temperature_scale(logits, labels)
-        assert 0.95 <= t <= 1.05
-
-    def test_recovers_doubled_temperature(self):
-        logits, labels = make_self_consistent_logits()
-        t, _ = temperature_scale(2.0 * logits, labels)
-        assert 1.9 <= t <= 2.1
-
-    def test_minimizer_beats_identity_on_nll(self):
-        rng = np.random.default_rng(12)
-        logits = rng.standard_normal((500, 4)) * 3.0
-        labels = rng.integers(0, 4, size=500)
-        t, _ = temperature_scale(logits, labels)
-        assert nll(logits / t, labels) <= nll(logits, labels) + 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            temperature_scale(np.zeros((0, 3)), np.array([], dtype=int))
 
 
 class TestPrAnalysis:
