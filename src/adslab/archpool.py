@@ -62,10 +62,6 @@ class PoolConfig:
         object.__setattr__(self, "width_candidates", tuple(sorted(self.width_candidates)))
 
 
-def desk_pool_config(per_category: int, seed: int, **kw) -> PoolConfig:
-    return PoolConfig(per_category_counts=_category_counts(per_category), seed=seed, **kw)
-
-
 # ---------------------------------------------------------------------------
 # per-category shape predicates (non-strict monotonicity)
 # ---------------------------------------------------------------------------
@@ -102,16 +98,6 @@ def is_spindle(widths) -> bool:
         and is_increasing(widths[: p + 1])
         and is_decreasing(widths[p:])
     )
-
-
-CATEGORY_PREDICATES = {
-    "uniform": is_uniform,
-    "increasing": is_increasing,
-    "decreasing": is_decreasing,
-    "bottleneck": is_bottleneck,
-    "spindle": is_spindle,
-    "random": lambda widths: True,
-}
 
 
 def _multiset_count(n_candidates: int, length: int) -> int:

@@ -161,7 +161,7 @@ def calibrate_params(calib_runs: list[RunRecord], source: str = "",
 # ---------------------------------------------------------------------------
 
 def save_profile(params: CalibrationParams, path) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["params"] = {k: repr(getattr(params, k)) for k in ("alpha", "beta", "b", "c")}
     cp["fit"] = {
         "r2_width": repr(params.fit_r2_width),
@@ -174,7 +174,7 @@ def save_profile(params: CalibrationParams, path) -> None:
 
 
 def load_profile(path) -> CalibrationParams:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         cp.read_string(fh.read())
     return CalibrationParams(

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Subcommands: make-data, gen-pool, calibrate, run, ads, correlate,
-select, report. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Subcommands: make-data, gen-pool, calibrate, run, ads, report.
+Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -68,14 +68,8 @@ def build_parser() -> _Parser:
     ad.add_argument("--pool", default="", help="pool manifest for batch scoring")
     ad.add_argument("--out", default="", help="CSV output for batch mode")
 
-    co = sub.add_parser("correlate", help="recompute correlation reports")
-    co.add_argument("--exp", required=True, help="experiment directory")
-
-    se = sub.add_parser("select", help="recompute selector reports")
-    se.add_argument("--exp", required=True)
-
     rep = sub.add_parser("report", help="emit all CSV/SVG reports for an experiment")
-    rep.add_argument("--exp", required=True)
+    rep.add_argument("--exp", required=True, help="experiment directory")
     return p
 
 
@@ -168,16 +162,9 @@ def cmd_ads(args) -> int:
     raise ValueError("ads requires either --widths or --pool")
 
 
-def cmd_report_like(args, which: str) -> int:
-    written = emit_report(args.exp)
-    wanted = {
-        "correlate": ("correlation.csv",),
-        "select": ("selector_", "selector_summary.csv"),
-        "report": (),
-    }[which]
-    for path in written:
-        if not wanted or any(w in os.path.basename(path) for w in wanted):
-            print(path)
+def cmd_report(args) -> int:
+    for path in emit_report(args.exp):
+        print(path)
     return 0
 
 
@@ -193,9 +180,7 @@ def main(argv=None) -> int:
         "calibrate": cmd_calibrate,
         "run": cmd_run,
         "ads": cmd_ads,
-        "correlate": lambda a: cmd_report_like(a, "correlate"),
-        "select": lambda a: cmd_report_like(a, "select"),
-        "report": lambda a: cmd_report_like(a, "report"),
+        "report": cmd_report,
     }
     try:
         return handlers[args.command](args)

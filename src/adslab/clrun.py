@@ -20,6 +20,7 @@ diagnostic.
 from __future__ import annotations
 
 import json
+import os
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -31,6 +32,7 @@ from .datasets import Dataset, Scenario
 from .nncore import (
     ArchitectureSpec,
     DenseNet,
+    DivergenceError,
     GradientSet,
     OptimizerState,
     forward,
@@ -61,7 +63,7 @@ class TrainConfig:
     lr: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    trace_every: int = 5
+    trace_every: int = 2
     path_segments: int = 12
     seed: int = 0
 
@@ -108,10 +110,6 @@ class RunRecord:
     note: str = ""
 
     @property
-    def ece_drift(self) -> float:
-        return self.ece_after - self.ece_before
-
-    @property
     def key(self) -> tuple:
         return (self.arch_id, self.scenario_id, self.seed)
 
@@ -127,18 +125,24 @@ class RunRecord:
 
 
 def append_records(path, records) -> None:
+    """Append one JSON line per record, then fsync: a crash tears at most the last line."""
     with open(path, "a") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_records(path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                records.append(RunRecord.from_json(line))
+                try:
+                    records.append(RunRecord.from_json(line))
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise ValueError(f"{path}: malformed record on line {lineno}: {exc}") from None
     return records
 
 
@@ -153,63 +157,57 @@ def unit_flatten(gset: GradientSet) -> list[np.ndarray]:
 
 
 class TraceRecorder:
-    """Accumulates per-layer trajectory statistics during task-2 training."""
+    """Accumulates per-layer trajectory statistics during task-2 training.
 
-    def __init__(self, net_start: DenseNet, gold: GradientSet | None,
-                 trace_every: int, total_steps: int | None = None,
-                 path_segments: int = 12):
-        self.start_weights = [w.copy() for w in net_start.weights]
-        self.trace_every = trace_every
-        self.n_layers = len(self.start_weights)
-        if total_steps is None or total_steps < 1:
-            self.segment_len = 1
-        else:
-            self.segment_len = max(1, total_steps // path_segments)
-        self.segment_anchor = [w.copy() for w in net_start.weights]
+    Reads ``net_start``'s weight arrays uncopied, so ``net_start`` must stay frozen."""
+
+    def __init__(self, net_start: DenseNet, gold: GradientSet, cfg: TrainConfig):
+        self.n_layers = net_start.spec.depth  # hidden weight layers; the head is not traced
+        self.start_weights = net_start.weights
+        self.segment_anchor = net_start.weights[:self.n_layers]
+        self.gold = gold
+        self.gold_units = unit_flatten(gold)
+        self.trace_every = cfg.trace_every
+        self.segment_len = max(1, cfg.steps_per_task // cfg.path_segments)
         self.pathlen = np.zeros(self.n_layers)
         self.grad_norm_sum = np.zeros(self.n_layers)
         self.abs_cos_sum = np.zeros(self.n_layers)
         self.n_cos_samples = 0
         self.step = 0
-        self.gold_units = unit_flatten(gold) if gold is not None else None
 
-    def after_step(self, net: DenseNet, grads: GradientSet,
-                   state: OptimizerState) -> None:
+    def after_step(self, net: DenseNet, grads: GradientSet) -> None:
         self.step += 1
+        sampled = (self.step - 1) % self.trace_every == 0
         for l in range(self.n_layers):
-            self.grad_norm_sum[l] += np.linalg.norm(grads.layers[l])
+            v = grads.layers[l].reshape(-1)
+            norm = np.linalg.norm(v)  # the Frobenius norm of the layer gradient
+            self.grad_norm_sum[l] += norm
+            if sampled and norm > 0:
+                self.abs_cos_sum[l] += abs(float(self.gold_units[l] @ v) / norm)
+        self.n_cos_samples += sampled
         if self.step % self.segment_len == 0:
             self._close_segment(net)
-        if self.gold_units is not None and (self.step - 1) % self.trace_every == 0:
-            for l in range(self.n_layers):
-                v = grads.layers[l].reshape(-1)
-                norm = np.linalg.norm(v)
-                if norm > 0:
-                    self.abs_cos_sum[l] += abs(float(self.gold_units[l] @ v) / norm)
-            self.n_cos_samples += 1
 
     def _close_segment(self, net: DenseNet) -> None:
         for l in range(self.n_layers):
             self.pathlen[l] += np.linalg.norm(net.weights[l] - self.segment_anchor[l])
             self.segment_anchor[l] = net.weights[l].copy()
 
-    def finalize(self, net_end: DenseNet, gold: GradientSet | None) -> list[LayerTrace]:
+    def finalize(self, net_end: DenseNet) -> list[LayerTrace]:
         """Produce LayerTraces for the hidden weight layers l = 1..L."""
         if self.step % self.segment_len != 0:
             self._close_segment(net_end)  # tail segment
         spec = net_end.spec
         traces = []
-        for l in range(spec.depth):  # weight layer l+1 in 1-based terms
+        for l in range(self.n_layers):  # weight layer l+1 in 1-based terms
             before = self.start_weights[l]
             after = net_end.weights[l]
             disp = float(np.linalg.norm(after - before))
             pathlen = float(self.pathlen[l])
             c_traj = pathlen / disp if disp > 0 else float("nan")
             rel = disp / float(np.linalg.norm(before))
-            mean_cos = (self.abs_cos_sum[l] / self.n_cos_samples
-                        if self.n_cos_samples > 0 else float("nan"))
-            gold_spec = (spectral_norm(gold.layers[l]).value if gold is not None
-                         else float("nan"))
+            mean_cos = self.abs_cos_sum[l] / self.n_cos_samples  # step 1 is always sampled
+            gold_spec = spectral_norm(self.gold.layers[l]).value
             traces.append(LayerTrace(
                 layer_index=l + 1,
                 disp=disp,
@@ -225,28 +223,23 @@ class TraceRecorder:
         return traces
 
 
-class DivergenceError(RuntimeError):
-    pass
-
-
 def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
-               cfg: TrainConfig, recorder: TraceRecorder | None = None,
-               steps: int | None = None, seed: int | None = None):
-    """Run minibatch SGD with seeded shuffling; mutates net/state in place.
+               cfg: TrainConfig, seed: int, recorder: TraceRecorder | None = None):
+    """Run ``cfg.steps_per_task`` minibatch SGD steps, shuffled by ``seed``;
+    mutates net/state in place.
 
-    Returns (net, state, stats_dict). A non-finite loss raises
+    Returns (net, state, stats_dict). A non-finite loss or gradient raises
     DivergenceError so the caller can flag the run instead of crashing
     a whole pool.
     """
-    n_steps = cfg.steps_per_task if steps is None else steps
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     n = len(dataset)
     losses = []
     done = 0
-    while done < n_steps:
+    while done < cfg.steps_per_task:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            if done >= n_steps:
+            if done >= cfg.steps_per_task:
                 break
             idx = order[start:start + cfg.batch_size]
             batch = dataset.images[idx]
@@ -257,7 +250,7 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
                 raise DivergenceError(f"non-finite loss at step {done}")
             sgd_step(net, grads, state)
             if recorder is not None:
-                recorder.after_step(net, grads, state)
+                recorder.after_step(net, grads)
             losses.append(loss)
             done += 1
     return net, state, {
@@ -267,15 +260,10 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
     }
 
 
-def measure_logit_shift(net_t: DenseNet, net_t1: DenseNet, eval_set) -> float:
-    """Mean L2 distance between the two networks' logits over the eval set."""
-    images = eval_set.images if isinstance(eval_set, Dataset) else np.asarray(eval_set)
-    if images.shape[0] == 0:
+def measure_logit_shift(f_t: np.ndarray, f_t1: np.ndarray) -> float:
+    """Mean L2 distance between two nets' logits on the same eval rows."""
+    if f_t.shape[0] == 0:
         raise ValueError("empty eval set")
-    if net_t.spec.widths != net_t1.spec.widths:
-        raise ValueError("networks must share an architecture")
-    f_t = forward(net_t, images).logits
-    f_t1 = forward(net_t1, images).logits
     return float(np.mean(np.linalg.norm(f_t1 - f_t, axis=1)))
 
 
@@ -286,16 +274,15 @@ def compute_gold(net: DenseNet, calib_subset: Dataset) -> GradientSet:
     return logit_gradient(net, calib_subset.images, calib_subset.labels)
 
 
-def evaluate(net: DenseNet, ds: Dataset) -> tuple[float, float]:
-    """(accuracy, ECE) of the net on a dataset."""
+def evaluate(net: DenseNet, ds: Dataset) -> tuple[float, float, np.ndarray]:
+    """(accuracy, ECE, logits) of the net on a dataset."""
     logits = forward(net, ds.images).logits
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
-    return acc, stats.ece_of_logits(logits, ds.labels)
+    return acc, stats.ece_of_logits(logits, ds.labels), logits
 
 
 def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
-                 arch_id: str = "arch", task2_steps: int | None = None,
-                 eval_cap: int | None = None) -> RunRecord:
+                 arch_id: str = "arch", eval_cap: int | None = None) -> RunRecord:
     """Full instrumented pipeline for one (architecture, scenario, seed) run."""
     t0 = time.time()
     spec = arch.with_dims(scenario.input_dim, scenario.n_classes)
@@ -314,22 +301,19 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     try:
         train_task(net, state, scenario.task1_train, cfg,
                    seed=derive_seed(cfg.seed, arch_id, "task1"))
-        net_t = net.copy()
+        net_t = net.copy()  # frozen task-1 net; the recorder reads its weights
         gold = compute_gold(net_t, scenario.calib_subset)
-        task1_eval_acc, ece_before = evaluate(net_t, task1_eval)
+        task1_eval_acc, ece_before, f_t = evaluate(net_t, task1_eval)
 
-        n2 = cfg.steps_per_task if task2_steps is None else task2_steps
-        recorder = TraceRecorder(net_t, gold, cfg.trace_every, total_steps=n2,
-                                 path_segments=cfg.path_segments)
-        if n2 > 0:
-            # fresh momentum between tasks: each task is its own S-step phase
-            state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
-            train_task(net, state, scenario.task2_train, cfg, recorder=recorder,
-                       steps=n2, seed=derive_seed(cfg.seed, arch_id, "task2"))
-        traces = recorder.finalize(net, gold)
-        observed_shift = measure_logit_shift(net_t, net, task1_eval)
-        _, ece_after = evaluate(net, task1_eval)
-        task2_eval_acc, _ = evaluate(net, task2_eval)
+        recorder = TraceRecorder(net_t, gold, cfg)
+        # fresh momentum between tasks: each task is its own S-step phase
+        state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
+        train_task(net, state, scenario.task2_train, cfg,
+                   seed=derive_seed(cfg.seed, arch_id, "task2"), recorder=recorder)
+        traces = recorder.finalize(net)
+        _, ece_after, f_t1 = evaluate(net, task1_eval)
+        observed_shift = measure_logit_shift(f_t, f_t1)
+        task2_eval_acc, _, _ = evaluate(net, task2_eval)
     except DivergenceError as exc:
         valid = False
         note = str(exc)

@@ -17,8 +17,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-DATASET_NAMES = ("mnist", "fashion_mnist", "cifar10")
-
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 

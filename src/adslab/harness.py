@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import typing
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -46,12 +47,12 @@ class ExperimentConfig:
     data_root: str = "data"
     epochs_per_task: int = 1
     steps_per_task: int = 0          # > 0 overrides the epoch-derived count
-    batch_size: int = 128
-    lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    trace_every: int = 2
-    path_segments: int = 12
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    trace_every: int = TrainConfig.trace_every
+    path_segments: int = TrainConfig.path_segments
     eval_cap: int = 2000
     min_task1_acc: float = 0.8
     n_calib_archs: int = 10
@@ -160,7 +161,7 @@ def _parse_section(section: str, items: dict, names: dict, hints: dict) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if not cp.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
     hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(PoolConfig)
@@ -206,7 +207,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
     for spec in cfg.scenarios:
         sections[f"scenario {spec.scenario_id}"] = {
             f.name: _fmt(getattr(spec, f.name)) for f in fields(spec) if f.name != "scenario_id"}
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
     with open(path, "w") as fh:
         cp.write(fh)
@@ -328,6 +329,17 @@ def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
     return keys
 
 
+def _drop_torn_tail(path) -> None:
+    """Truncate a final line without its newline, left by a crash mid-append."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            keep = data.rfind(b"\n") + 1
+            fh.truncate(keep)
+            warnings.warn(f"{path}: dropped a torn final record line "
+                          f"({len(data) - keep} bytes)", stacklevel=2)
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
     """Execute (or resume) the full experiment; returns the experiment directory."""
     out = cfg.out_dir
@@ -359,6 +371,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
     records_path = os.path.join(out, "records.jsonl")
     done = set()
     if os.path.exists(records_path):
+        _drop_torn_tail(records_path)
         done = {tuple(r.key) for r in read_records(records_path)}
 
     jobs = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]

@@ -81,15 +81,8 @@ class DenseNet:
     spec: ArchitectureSpec
     weights: list[np.ndarray]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
     def copy(self) -> "DenseNet":
         return DenseNet(self.spec, [w.copy() for w in self.weights])
-
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights)
 
 
 @dataclass
@@ -111,10 +104,10 @@ def init_optimizer(net: DenseNet, lr: float, momentum: float = 0.0,
 
 @dataclass
 class ForwardTrace:
-    """All intermediate quantities of one forward pass (batch-first)."""
+    """The activations of one forward pass (batch-first); the ReLU mask
+    z^(l) > 0 of a hidden layer is a^(l) > 0."""
 
     activations: list[np.ndarray]    # a^(0)..a^(L); a^(0) is the input batch
-    preactivations: list[np.ndarray] # z^(1)..z^(L)
     logits: np.ndarray
 
 
@@ -123,7 +116,10 @@ class GradientSet:
     """Per-weight-layer gradient matrices, same shapes as DenseNet.weights."""
 
     layers: list[np.ndarray]
-    kind: str  # "loss_grad" (g_new) or "logit_grad" (g_old)
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or gradient."""
 
 
 def init_network(spec: ArchitectureSpec, seed: int) -> DenseNet:
@@ -149,19 +145,16 @@ def forward(net: DenseNet, batch: np.ndarray) -> ForwardTrace:
             f"batch must be 2-d with {net.spec.input_dim} features, got shape {batch.shape}"
         )
     activations = [batch]
-    preactivations = []
     a = batch
     for l in range(net.spec.depth):
-        z = a @ net.weights[l].T
-        a = np.maximum(z, 0.0)
-        preactivations.append(z)
+        a = np.maximum(a @ net.weights[l].T, 0.0)
         activations.append(a)
     logits = a @ net.weights[-1].T
-    return ForwardTrace(activations, preactivations, logits)
+    return ForwardTrace(activations, logits)
 
 
-def _backward(net: DenseNet, trace: ForwardTrace, dlogits: np.ndarray,
-              kind: str) -> tuple[GradientSet, list[np.ndarray]]:
+def _backward(net: DenseNet, trace: ForwardTrace,
+              dlogits: np.ndarray) -> tuple[GradientSet, list[np.ndarray]]:
     """Backprop an output-side gradient through the net.
 
     Returns the per-layer weight gradients plus the error signals
@@ -175,10 +168,10 @@ def _backward(net: DenseNet, trace: ForwardTrace, dlogits: np.ndarray,
     deltas[L] = delta
     grads[L] = delta.T @ trace.activations[L]
     for l in range(L - 1, -1, -1):
-        delta = (delta @ net.weights[l + 1]) * (trace.preactivations[l] > 0.0)
+        delta = (delta @ net.weights[l + 1]) * (trace.activations[l + 1] > 0.0)
         deltas[l] = delta
         grads[l] = delta.T @ trace.activations[l]
-    return GradientSet(grads, kind), deltas
+    return GradientSet(grads), deltas
 
 
 def loss_and_backward(net: DenseNet, trace: ForwardTrace,
@@ -192,12 +185,11 @@ def loss_and_backward(net: DenseNet, trace: ForwardTrace,
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label out of range [0, {n_classes})")
-    probs = softmax(trace.logits)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    dlogits = probs.copy()
+    dlogits = softmax(trace.logits)  # probabilities, made dLoss/dlogits in place below
+    loss = float(-np.mean(np.log(dlogits[np.arange(n), labels] + 1e-300)))
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grads, _ = _backward(net, trace, dlogits, "loss_grad")
+    grads, _ = _backward(net, trace, dlogits)
     return loss, grads
 
 
@@ -205,11 +197,10 @@ def error_signals(net: DenseNet, trace: ForwardTrace, labels: np.ndarray) -> lis
     """Per-layer error signals delta^(l) of the cross-entropy loss, l = 1..L+1."""
     labels = np.asarray(labels)
     n = trace.logits.shape[0]
-    probs = softmax(trace.logits)
-    dlogits = probs.copy()
+    dlogits = softmax(trace.logits)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    _, deltas = _backward(net, trace, dlogits, "loss_grad")
+    _, deltas = _backward(net, trace, dlogits)
     return deltas
 
 
@@ -226,7 +217,7 @@ def logit_gradient(net: DenseNet, batch: np.ndarray, class_indices: np.ndarray) 
         raise ValueError(f"class index out of range [0, {n_classes})")
     dlogits = np.zeros_like(trace.logits)
     dlogits[np.arange(n), class_indices] = 1.0 / n
-    grads, _ = _backward(net, trace, dlogits, "logit_grad")
+    grads, _ = _backward(net, trace, dlogits)
     return grads
 
 
@@ -235,10 +226,12 @@ def sgd_step(net: DenseNet, grads: GradientSet, state: OptimizerState) -> tuple[
 
     buffer <- momentum * buffer + (grad + wd * weight)
     weight <- weight - lr * buffer
+
+    A non-finite gradient raises DivergenceError before any weight moves.
     """
     for l, g in enumerate(grads.layers):
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient entries in layer {l + 1}")
+            raise DivergenceError(f"non-finite gradient entries in layer {l + 1}")
     for l in range(len(net.weights)):
         buf = state.momentum_buffers[l]
         buf *= state.momentum

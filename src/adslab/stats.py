@@ -254,8 +254,8 @@ def pr_analysis(scores, ece_drift, q_grid=DEFAULT_Q_GRID) -> SelectorReport:
     )
 
 
-def correlation_report(proxy, shift, n_perm: int = 999, n_boot: int = 1000,
-                       seed: int = 0) -> CorrelationReport:
+def correlation_report(proxy, shift, n_perm: int, n_boot: int,
+                       seed: int) -> CorrelationReport:
     """Full rank-agreement report: Spearman + permutation p, Kendall, DC + bootstrap CI."""
     proxy = np.asarray(proxy, dtype=np.float64)
     shift = np.asarray(shift, dtype=np.float64)

@@ -159,7 +159,8 @@ def fd_grad(objective, net, eps=1e-5):
 def kink_free_net(widths, x, seed0, margin=1e-3):
     for s in range(seed0, seed0 + 60):
         net = init_network(ArchitectureSpec(len(widths) - 2, tuple(widths)), seed=s)
-        if min(np.abs(z).min() for z in forward(net, x).preactivations) > margin:
+        acts = forward(net, x).activations
+        if min(np.abs(a @ w.T).min() for a, w in zip(acts, net.weights[:-1])) > margin:
             return net
     raise AssertionError("no kink-free net found")
 
@@ -173,7 +174,7 @@ def test_criterion_1_gradient_oracle():
         x = rng.standard_normal((3, 6))
         labels = rng.integers(0, 3, size=3)
         net = kink_free_net([6, 8, 7, 3], x, 1000 + 97 * i)
-        assert net.n_params() <= 500
+        assert sum(w.size for w in net.weights) <= 500
 
         trace = forward(net, x)
         _, grads = loss_and_backward(net, trace, labels)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from adslab import archpool
 from adslab.archpool import (
-    CATEGORY_PREDICATES,
     PoolConfig,
-    desk_pool_config,
+    _category_counts,
     generate_pool,
     load_manifest,
     manifest_to_pool,
@@ -20,9 +20,13 @@ def hidden(spec):
     return spec.hidden_widths
 
 
+def pool_config(per_category, seed, **kw):
+    return PoolConfig(per_category_counts=_category_counts(per_category), seed=seed, **kw)
+
+
 class TestGeneratePool:
     def test_desk_default_yields_175_unique(self):
-        pool = generate_pool(desk_pool_config(per_category=35, seed=1))
+        pool = generate_pool(pool_config(per_category=35, seed=1))
         assert len(pool) == 175
         keys = {(s.depth, s.widths) for s in pool}
         assert len(keys) == 175
@@ -45,13 +49,15 @@ class TestGeneratePool:
         assert {hidden(s) for s in pool} == {(256,) * 3, (512,) * 3}
 
     def test_category_predicates_hold(self):
-        pool = generate_pool(desk_pool_config(per_category=20, seed=3))
+        pool = generate_pool(pool_config(per_category=20, seed=3))
         for spec in pool:
-            assert CATEGORY_PREDICATES[spec.topology_tag](list(hidden(spec))), (
+            holds = (spec.topology_tag == "random"
+                     or getattr(archpool, f"is_{spec.topology_tag}")(list(hidden(spec))))
+            assert holds, (
                 spec.topology_tag, hidden(spec))
 
     def test_bottleneck_turning_point_interior(self):
-        cfg = desk_pool_config(per_category=25, seed=5)
+        cfg = pool_config(per_category=25, seed=5)
         pool = [s for s in generate_pool(cfg) if s.topology_tag == "bottleneck"]
         assert pool
         for spec in pool:
@@ -62,15 +68,15 @@ class TestGeneratePool:
             assert all(a <= b for a, b in zip(ws[p:], ws[p + 1:]))
 
     def test_deterministic_per_seed(self):
-        a = generate_pool(desk_pool_config(per_category=15, seed=11))
-        b = generate_pool(desk_pool_config(per_category=15, seed=11))
+        a = generate_pool(pool_config(per_category=15, seed=11))
+        b = generate_pool(pool_config(per_category=15, seed=11))
         assert [(s.depth, s.widths, s.topology_tag) for s in a] == \
                [(s.depth, s.widths, s.topology_tag) for s in b]
-        c = generate_pool(desk_pool_config(per_category=15, seed=12))
+        c = generate_pool(pool_config(per_category=15, seed=12))
         assert [(s.depth, s.widths) for s in a] != [(s.depth, s.widths) for s in c]
 
     def test_head_dims_from_config(self):
-        cfg = desk_pool_config(per_category=4, seed=0, input_dim=64, output_dim=5)
+        cfg = pool_config(per_category=4, seed=0, input_dim=64, output_dim=5)
         for spec in generate_pool(cfg):
             assert spec.input_dim == 64 and spec.output_dim == 5
 
@@ -90,7 +96,7 @@ class TestValidateSpec:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        pool = generate_pool(desk_pool_config(per_category=6, seed=2))
+        pool = generate_pool(pool_config(per_category=6, seed=2))
         path = tmp_path / "pool.manifest"
         save_manifest(pool, path, seed=2)
         loaded = load_manifest(path)

@@ -182,6 +182,14 @@ class TestProfiles:
         assert q.source == "mf@0.3"
         assert q.n_layer_records == 120
 
+    def test_percent_in_strings_round_trips(self, tmp_path):
+        p = CalibrationParams(0.21, -0.48, 1.9, 0.52, 0.93, 0.71, 120,
+                              source="m%f@0.3", params_id="shift_100%")
+        path = tmp_path / "pct.profile"
+        save_profile(p, path)
+        q = load_profile(path)
+        assert (q.source, q.params_id) == ("m%f@0.3", "shift_100%")
+
     def test_missing_profile(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope"):
             load_profile(tmp_path / "nope.profile")

@@ -2,7 +2,7 @@
 
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -93,6 +93,15 @@ class TestConfigFile:
                 if f.default_factory is not MISSING:
                     assert value != f.default_factory(), f"{f.name} is left at its default"
                 assert getattr(loaded, f.name) == value, f.name
+
+    def test_percent_in_strings_round_trips(self, tmp_path):
+        # INI values are literal: no %-interpolation on either side
+        cfg = replace(non_default_config("transfer"), out_dir="runs/100%",
+                      data_root="d%(x)s", transfer_profile="m%f")
+        save_config(cfg, tmp_path / "exp.ini")
+        back = load_config(tmp_path / "exp.ini")
+        assert (back.out_dir, back.data_root, back.transfer_profile) == \
+               ("runs/100%", "d%(x)s", "m%f")
 
     @pytest.mark.parametrize("section,key", [("stats", "baseline_perm"),
                                              ("scenario sp", "angle")])
@@ -218,6 +227,35 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError, match="missing"):
             emit_report(out)
 
+    def test_torn_final_record_line_resumes(self, data_root):
+        cfg = tiny_config(str(data_root), out_name="exp_torn", seeds=(0,))
+        out = run_experiment(cfg)
+        records_path = os.path.join(out, "records.jsonl")
+        reports = sorted(os.listdir(os.path.join(out, "reports")))
+
+        def snapshot():
+            recs = read_records(records_path)
+            for r in recs:
+                r.wall_time = 0.0
+            return (sorted(r.to_json() for r in recs),
+                    [open(os.path.join(out, "reports", name), "rb").read() for name in reports])
+
+        before = snapshot()
+        with open(records_path, "rb") as fh:
+            torn = fh.read()[:-25]  # a crash mid-append
+        with open(records_path, "wb") as fh:
+            fh.write(torn)
+        n_torn = len(torn) - torn.rfind(b"\n") - 1
+        with pytest.warns(UserWarning, match=rf"torn final record line \({n_torn} bytes\)"):
+            run_experiment(cfg)
+        assert snapshot() == before
+
+    def test_malformed_record_line_named(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\n{"arch_id": \n{}\n')
+        with pytest.raises(ValueError, match=r"records\.jsonl: malformed record on line 2"):
+            read_records(path)
+
 
 class TestCli:
     def test_make_data_and_gen_pool_deterministic(self, tmp_path, capsys):
@@ -256,7 +294,7 @@ class TestCli:
             run_experiment(cfg)
         except ValueError:
             pass  # the run itself reports insufficiency at the report stage
-        rc = cli_main(["correlate", "--exp", cfg.out_dir])
+        rc = cli_main(["report", "--exp", cfg.out_dir])
         assert rc == 2
         assert "insufficient" in capsys.readouterr().err
 

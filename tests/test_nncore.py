@@ -11,6 +11,7 @@ import pytest
 from adslab.nncore import (
     ArchitectureSpec,
     DenseNet,
+    DivergenceError,
     arch_diagnostics,
     error_signals,
     forward,
@@ -109,7 +110,6 @@ class TestForward:
         spec = small_spec([2, 1, 1])
         net = DenseNet(spec, [np.ones((1, 2)), np.ones((1, 1))])
         trace = forward(net, np.array([[1.0, 1.0]]))
-        assert trace.preactivations[0][0, 0] == 2.0
         assert trace.activations[1][0, 0] == 2.0
         assert trace.logits[0, 0] == 2.0
 
@@ -154,7 +154,8 @@ def stable_test_net(widths, seed, x, margin=1e-3):
     for s in range(seed, seed + 50):
         net = init_network(small_spec(widths), seed=s)
         trace = forward(net, x)
-        m = min(np.abs(z).min() for z in trace.preactivations)
+        m = min(np.abs(a @ w.T).min()
+                for a, w in zip(trace.activations, net.weights[:-1]))
         if m > margin:
             return net
     raise AssertionError("no kink-free net found")
@@ -275,7 +276,7 @@ class TestSgdStep:
         grads_mats = [np.ones_like(w) for w in net.weights]
         from adslab.nncore import GradientSet
         state = init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(net, GradientSet(grads_mats, "loss_grad"), state)
+        sgd_step(net, GradientSet(grads_mats), state)
         for b, w in zip(before, net.weights):
             np.testing.assert_allclose(w, b - 0.1, rtol=0, atol=1e-15)
 
@@ -283,7 +284,7 @@ class TestSgdStep:
         net = init_network(small_spec([2, 3, 2]), seed=0)
         before = [w.copy() for w in net.weights]
         from adslab.nncore import GradientSet
-        zero = GradientSet([np.zeros_like(w) for w in net.weights], "loss_grad")
+        zero = GradientSet([np.zeros_like(w) for w in net.weights])
         state = init_optimizer(net, lr=0.5, momentum=0.9, weight_decay=0.0)
         sgd_step(net, zero, state)
         for b, w in zip(before, net.weights):
@@ -299,8 +300,8 @@ class TestSgdStep:
         net = DenseNet(spec, [np.array([[w0]]), np.array([[1.0]])])
         state = init_optimizer(net, lr=lr, momentum=m, weight_decay=wd)
         zero_out = np.zeros((1, 1))
-        sgd_step(net, GradientSet([np.array([[g1]]), zero_out.copy()], "loss_grad"), state)
-        sgd_step(net, GradientSet([np.array([[g2]]), zero_out.copy()], "loss_grad"), state)
+        sgd_step(net, GradientSet([np.array([[g1]]), zero_out.copy()]), state)
+        sgd_step(net, GradientSet([np.array([[g2]]), zero_out.copy()]), state)
         b1 = g1 + wd * w0
         w1 = w0 - lr * b1
         b2 = m * b1 + g2 + wd * w1
@@ -310,11 +311,14 @@ class TestSgdStep:
     def test_nonfinite_gradient_names_layer(self):
         from adslab.nncore import GradientSet
         net = init_network(small_spec([2, 3, 2]), seed=0)
+        before = [w.copy() for w in net.weights]
         bad = [np.zeros_like(w) for w in net.weights]
         bad[1][0, 0] = np.nan
         state = init_optimizer(net, lr=0.1)
-        with pytest.raises(ValueError, match="layer 2"):
-            sgd_step(net, GradientSet(bad, "loss_grad"), state)
+        with pytest.raises(DivergenceError, match="layer 2"):
+            sgd_step(net, GradientSet(bad), state)
+        for b, w in zip(before, net.weights):
+            assert np.array_equal(b, w)
 
 
 # ---------------------------------------------------------------------------
