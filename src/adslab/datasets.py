@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ class Dataset:
     images: np.ndarray   # (N, d) float64
     labels: np.ndarray   # (N,) int64
     split: str           # "train" | "test"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.images.ndim != 2 or self.images.shape[0] == 0:
@@ -48,7 +47,7 @@ class Dataset:
 
     def take(self, indices: np.ndarray, split: str | None = None) -> "Dataset":
         return Dataset(self.name, self.images[indices], self.labels[indices],
-                       split or self.split, dict(self.meta))
+                       split or self.split)
 
 
 class IdxFormatError(ValueError):
@@ -96,7 +95,7 @@ def load_idx(images_path, labels_path, name: str = "", split: str = "train") -> 
     pixels = np.frombuffer(payload, dtype=np.uint8, count=n * rows * cols)
     images = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(lab_data, dtype=np.uint8, count=n_labels, offset=lab_off).astype(np.int64)
-    return Dataset(name or "idx", images, labels, split, {"side": rows})
+    return Dataset(name or "idx", images, labels, split)
 
 
 def _area_resize_weights(src: int, dst: int) -> np.ndarray:
@@ -136,7 +135,7 @@ def load_cifar10(batch_paths: Sequence, name: str = "cifar10", split: str = "tra
     labels = arr[:, 0].astype(np.int64)
     rgb = arr[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
     images = rgb_to_gray28(rgb)
-    return Dataset(name, images, labels, split, {"side": 28})
+    return Dataset(name, images, labels, split)
 
 
 def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
@@ -173,9 +172,7 @@ def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
         ric = np.clip(ri, 0, side - 1)
         cic = np.clip(ci, 0, side - 1)
         out += np.where(valid, wgt, 0.0) * imgs[:, ric, cic]
-    meta = dict(ds.meta)
-    meta["rotation_deg"] = meta.get("rotation_deg", 0.0) + angle_deg
-    return Dataset(ds.name, out.reshape(len(ds), -1), ds.labels.copy(), ds.split, meta)
+    return Dataset(ds.name, out.reshape(len(ds), -1), ds.labels.copy(), ds.split)
 
 
 def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +184,7 @@ def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    out = Dataset(ds.name, (ds.images - mean) / std, ds.labels.copy(), ds.split, dict(ds.meta))
-    out.meta["standardized"] = True
-    return out
+    return Dataset(ds.name, (ds.images - mean) / std, ds.labels.copy(), ds.split)
 
 
 def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -198,7 +193,7 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
     Per-class counts use largest-remainder rounding so the total is
     round(fraction * N) exactly. If the fraction is too small to give
     every present class at least one slot, falls back to an unstratified
-    sample (flagged in meta and by a warning).
+    sample (flagged by a warning).
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -212,10 +207,7 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
     quotas = fraction * counts
     if np.any(quotas < 1.0):
         warnings.warn("fraction too small for stratification; sampling unstratified")
-        idx = rng.choice(n, size=total, replace=False)
-        out = ds.take(idx)
-        out.meta["stratified"] = False
-        return out
+        return ds.take(rng.choice(n, size=total, replace=False))
 
     base = np.floor(quotas).astype(int)
     remainder = total - int(base.sum())
@@ -238,9 +230,7 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
         picked.append(rng.choice(cls_idx, size=k, replace=False))
     idx = np.concatenate(picked)
     rng.shuffle(idx)
-    out = ds.take(idx)
-    out.meta["stratified"] = True
-    return out
+    return ds.take(idx)
 
 
 @dataclass(frozen=True)
@@ -306,7 +296,6 @@ def _filter_remap(ds: Dataset, classes: Sequence[int]) -> Dataset:
     remap = {c: i for i, c in enumerate(classes)}
     out = ds.take(np.flatnonzero(mask))
     out.labels = np.array([remap[c] for c in out.labels], dtype=np.int64)
-    out.meta["class_map"] = dict(remap)
     return out
 
 

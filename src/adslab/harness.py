@@ -437,15 +437,14 @@ def aggregate_scenario(records: list, sid: str, arch_by_id: dict,
                              np.array(drifts), n_runs, n_excluded)
 
 
-def selector_baseline(agg: ScenarioAggregate, n_perms: int, seed: int = 0) -> float:
+def selector_baseline(agg: ScenarioAggregate, n_perms: int, seed: int) -> float:
     """Mean AUC-PR of score-shuffled selectors (the random baseline)."""
+    positive = stats.low_drift(agg.ece_drift)
+    if n_perms < 1 or not positive.any():
+        return math.nan
     rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(n_perms):
-        rep = stats.pr_analysis(rng.permutation(agg.ads), agg.ece_drift)
-        if math.isfinite(rep.auc_pr):
-            vals.append(rep.auc_pr)
-    return float(np.mean(vals)) if vals else math.nan
+    return float(np.mean([stats.average_precision(rng.permutation(agg.ads), positive)
+                          for _ in range(n_perms)]))
 
 
 def _fmt(x) -> str:
@@ -610,8 +609,7 @@ def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> tuple:
     return parts, sx, sy
 
 
-def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path,
-                annotate_ranks: bool = True) -> None:
+def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     xr = (float(x.min()), float(x.max()) if x.max() > x.min() else float(x.min()) + 1)
@@ -621,9 +619,8 @@ def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path,
     for i in range(len(x)):
         parts.append(f'<circle cx="{sx(x[i]):.1f}" cy="{sy(y[i]):.1f}" r="3.5" '
                      f'fill="steelblue" fill-opacity="0.8"/>')
-        if annotate_ranks:
-            parts.append(f'<text x="{sx(x[i]) + 5:.1f}" y="{sy(y[i]) - 4:.1f}" '
-                         f'font-size="8" fill="gray">{int(ranks[i])}</text>')
+        parts.append(f'<text x="{sx(x[i]) + 5:.1f}" y="{sy(y[i]) - 4:.1f}" '
+                     f'font-size="8" fill="gray">{int(ranks[i])}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

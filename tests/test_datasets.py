@@ -190,7 +190,6 @@ class TestSampleSubset:
         ds = self.balanced_ds(per_class=3)
         with pytest.warns(UserWarning, match="unstratified"):
             sub = sample_subset(ds, 0.2, seed=1)
-        assert sub.meta["stratified"] is False
         assert len(sub) == round(0.2 * len(ds))
 
     def test_bad_fraction_rejected(self):

@@ -1,10 +1,16 @@
 """Statistics oracles: enumeration-based checks for every estimator."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adslab.harness import ScenarioAggregate, selector_baseline
 from adslab.stats import (
     average_precision,
     bootstrap_ci,
@@ -31,6 +37,55 @@ def spearman_rank_difference(x, y):
     ry = rankdata(np.asarray(y))
     d2 = ((rx - ry) ** 2).sum()
     return 1 - 6 * d2 / (n * (n**2 - 1))
+
+
+def oracle_inputs(n, ties, seed):
+    """Two length-n vectors, drawn from 4 values each (heavy ties) or continuous."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        return rng.integers(0, 4, size=(2, n)).astype(float)
+    return rng.standard_normal((2, n))
+
+
+def perm_p_reference(x, y, n_perm, seed):
+    """Spearman recomputed from scratch on each permuted copy of y."""
+    obs = spearman(x, y)
+    if math.isnan(obs):
+        return math.nan
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(n_perm):
+        s = spearman(x, rng.permutation(y))
+        if not math.isnan(s) and abs(s) >= abs(obs):
+            count += 1
+    return (1 + count) / (n_perm + 1)
+
+
+def bootstrap_ci_reference(x, y, n_boot, seed):
+    """Percentile interval of DC recomputed on each paired resample."""
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, len(x), size=len(x))
+        s = direction_consistency(x[idx], y[idx])
+        if not math.isnan(s):
+            vals.append(s)
+    if not vals:
+        return math.nan, math.nan
+    alpha = (1.0 - 0.95) / 2.0
+    lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)
+
+
+def selector_baseline_reference(agg, n_perms, seed):
+    """Mean AUC-PR of the full selector analysis on each shuffled score vector."""
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(n_perms):
+        rep = pr_analysis(rng.permutation(agg.ads), agg.ece_drift)
+        if math.isfinite(rep.auc_pr):
+            vals.append(rep.auc_pr)
+    return float(np.mean(vals)) if vals else math.nan
 
 
 def kendall_pair_enumeration(x, y):
@@ -124,7 +179,7 @@ class TestKendall:
 class TestPermutationP:
     def test_identical_vectors_tiny_p(self):
         x = np.arange(20.0)
-        p = perm_p_value(x, x, spearman, n_perm=999, seed=0)
+        p = perm_p_value(x, x, n_perm=999, seed=0)
         assert p <= 0.001 + 1e-12
 
     def test_independent_noise_p_not_small(self):
@@ -133,7 +188,7 @@ class TestPermutationP:
         for trial in range(20):
             x = rng.standard_normal(50)
             y = rng.standard_normal(50)
-            p = perm_p_value(x, y, spearman, n_perm=999, seed=trial)
+            p = perm_p_value(x, y, n_perm=999, seed=trial)
             if p > 0.01:
                 n_large += 1
         assert n_large >= 18
@@ -142,18 +197,24 @@ class TestPermutationP:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
-        p = perm_p_value(x, y, spearman, n_perm=999, seed=0)
+        p = perm_p_value(x, y, n_perm=999, seed=0)
         assert 0.0 < p <= 1.0
 
     def test_requires_enough_permutations(self):
         with pytest.raises(ValueError):
-            perm_p_value([1, 2, 3], [1, 2, 3], spearman, n_perm=10)
+            perm_p_value([1, 2, 3], [1, 2, 3], n_perm=10, seed=0)
+
+    @pytest.mark.parametrize("n", [4, 30, 200])
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_equals_spearman_of_each_permuted_copy(self, n, ties):
+        x, y = oracle_inputs(n, ties, seed=n)
+        assert perm_p_value(x, y, n_perm=999, seed=5) == perm_p_reference(x, y, 999, seed=5)
 
 
 class TestBootstrapCI:
     def test_monotone_data_collapses_to_one(self):
         x = np.arange(12.0)
-        lo, hi = bootstrap_ci(x, 2 * x + 1, spearman, n_boot=1000, seed=0)
+        lo, hi = bootstrap_ci(x, 2 * x + 1, n_boot=1000, seed=0)
         assert lo == pytest.approx(1.0)
         assert hi == pytest.approx(1.0)
 
@@ -161,14 +222,42 @@ class TestBootstrapCI:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(25)
         y = x + rng.standard_normal(25)
-        lo, hi = bootstrap_ci(x, y, spearman, n_boot=1000, seed=1)
+        lo, hi = bootstrap_ci(x, y, n_boot=1000, seed=1)
         assert lo <= hi
 
     def test_deterministic_by_seed(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(15)
         y = rng.standard_normal(15)
-        assert bootstrap_ci(x, y, kendall, seed=3) == bootstrap_ci(x, y, kendall, seed=3)
+        assert bootstrap_ci(x, y, n_boot=1000, seed=3) == bootstrap_ci(x, y, n_boot=1000, seed=3)
+
+    def test_requires_enough_resamples(self):
+        with pytest.raises(ValueError):
+            bootstrap_ci([1, 2, 3], [1, 2, 3], n_boot=10, seed=0)
+
+    @pytest.mark.parametrize("n", [4, 30, 200])
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_equals_dc_of_each_resample(self, n, ties):
+        x, y = oracle_inputs(n, ties, seed=n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tiny tied inputs skip some resamples
+            got = bootstrap_ci(x, y, n_boot=1000, seed=7)
+            want = bootstrap_ci_reference(x, y, 1000, seed=7)
+        assert got == want
+
+
+class TestSelectorBaseline:
+    @pytest.mark.parametrize("n", [4, 30, 200])
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_equals_mean_auc_of_each_shuffle(self, n, ties):
+        ads, drift = oracle_inputs(n, ties, seed=n + 2)
+        agg = ScenarioAggregate("s", [f"a{i}" for i in range(n)], ads, np.zeros(n), drift, n, 0)
+        assert selector_baseline(agg, 200, seed=3) == selector_baseline_reference(agg, 200, seed=3)
+
+    def test_no_positives_nan(self):
+        agg = ScenarioAggregate("s", ["a", "b", "c", "d"], np.arange(4.0), np.zeros(4),
+                                np.ones(4), 4, 0)
+        assert math.isnan(selector_baseline(agg, 200, seed=0))
 
 
 class TestDirectionConsistency:
@@ -198,6 +287,35 @@ class TestDirectionConsistency:
 
     def test_all_tied_nan(self):
         assert math.isnan(direction_consistency([1.0, 1.0], [2.0, 3.0]))
+
+    def test_tiny_differences_are_not_ties(self):
+        # each product of differences underflows to 0, yet every pair is strictly ordered
+        x = [0.0, 1e-200, 2e-200]
+        assert direction_consistency(x, x) == 1.0
+        with pytest.warns(UserWarning, match="degenerate"):  # resamples of one repeated value
+            assert bootstrap_ci(x, x, n_boot=1000, seed=0) == (1.0, 1.0)
+
+
+def test_correlation_report_independent_of_blas_threads():
+    """Counts taken by matrix-vector products are exact, so the thread count moves no bit."""
+    script = (
+        "import numpy as np\n"
+        "from adslab.stats import correlation_report\n"
+        "rng = np.random.default_rng(11)\n"
+        "x = rng.integers(0, 40, size=200).astype(float)\n"
+        "y = x + rng.standard_normal(200) * 10\n"
+        "rep = correlation_report(x, y, n_perm=999, n_boot=1000, seed=0)\n"
+        "print([repr(v) for v in vars(rep).values()])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
 
 
 class TestEce:
