@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import ArchitectureSpec, arch_diagnostics
-
-CATEGORIES = ("uniform", "increasing", "decreasing", "bottleneck", "spindle", "random")
+from .nncore import TOPOLOGY_TAGS, ArchitectureSpec, arch_diagnostics
 
 # capped at width 1024 / depth 10; large enough for 35 unique specs per
 # category across three depths
@@ -149,7 +147,7 @@ def _draw_widths(category: str, depth: int, candidates: tuple[int, ...],
 def generate_pool(cfg: PoolConfig) -> list[ArchitectureSpec]:
     """Generate the deduplicated architecture pool described by the config.
 
-    Specs come out grouped by category in CATEGORIES order, cycling through
+    Specs come out grouped by category in TOPOLOGY_TAGS order, cycling through
     the configured depths; identical (depth, widths) pairs are rejected
     globally. Raises when a category cannot supply the requested number of
     unique specs.
@@ -157,7 +155,7 @@ def generate_pool(cfg: PoolConfig) -> list[ArchitectureSpec]:
     rng = np.random.default_rng(cfg.seed)
     seen: set[tuple] = set()
     pool: list[ArchitectureSpec] = []
-    for category in CATEGORIES:
+    for category in TOPOLOGY_TAGS:
         count = cfg.per_category_counts.get(category, 0)
         if count == 0:
             continue

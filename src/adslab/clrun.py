@@ -33,7 +33,6 @@ from .nncore import (
     ArchitectureSpec,
     DenseNet,
     DivergenceError,
-    GradientSet,
     OptimizerState,
     forward,
     init_network,
@@ -146,10 +145,10 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
-def unit_flatten(gset: GradientSet) -> list[np.ndarray]:
+def unit_flatten(grads: list[np.ndarray]) -> list[np.ndarray]:
     """Flattened, L2-normalized copy of every gradient layer."""
     flats = []
-    for g in gset.layers:
+    for g in grads:
         v = g.reshape(-1)
         norm = np.linalg.norm(v)
         flats.append(v / norm if norm > 0 else v.copy())
@@ -161,7 +160,7 @@ class TraceRecorder:
 
     Reads ``net_start``'s weight arrays uncopied, so ``net_start`` must stay frozen."""
 
-    def __init__(self, net_start: DenseNet, gold: GradientSet, cfg: TrainConfig):
+    def __init__(self, net_start: DenseNet, gold: list[np.ndarray], cfg: TrainConfig):
         self.n_layers = net_start.spec.depth  # hidden weight layers; the head is not traced
         self.start_weights = net_start.weights
         self.segment_anchor = net_start.weights[:self.n_layers]
@@ -175,11 +174,11 @@ class TraceRecorder:
         self.n_cos_samples = 0
         self.step = 0
 
-    def after_step(self, net: DenseNet, grads: GradientSet) -> None:
+    def after_step(self, net: DenseNet, grads: list[np.ndarray]) -> None:
         self.step += 1
         sampled = (self.step - 1) % self.trace_every == 0
         for l in range(self.n_layers):
-            v = grads.layers[l].reshape(-1)
+            v = grads[l].reshape(-1)
             norm = np.linalg.norm(v)  # the Frobenius norm of the layer gradient
             self.grad_norm_sum[l] += norm
             if sampled and norm > 0:
@@ -207,7 +206,7 @@ class TraceRecorder:
             c_traj = pathlen / disp if disp > 0 else float("nan")
             rel = disp / float(np.linalg.norm(before))
             mean_cos = self.abs_cos_sum[l] / self.n_cos_samples  # step 1 is always sampled
-            gold_spec = spectral_norm(self.gold.layers[l]).value
+            gold_spec = spectral_norm(self.gold[l]).value
             traces.append(LayerTrace(
                 layer_index=l + 1,
                 disp=disp,
@@ -267,7 +266,7 @@ def measure_logit_shift(f_t: np.ndarray, f_t1: np.ndarray) -> float:
     return float(np.mean(np.linalg.norm(f_t1 - f_t, axis=1)))
 
 
-def compute_gold(net: DenseNet, calib_subset: Dataset) -> GradientSet:
+def compute_gold(net: DenseNet, calib_subset: Dataset) -> list[np.ndarray]:
     """Old-task sensitivity: true-class logit gradient averaged over the subset."""
     if len(calib_subset) == 0:
         raise ValueError("empty calibration subset")
@@ -289,12 +288,8 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     net = init_network(spec, derive_seed(cfg.seed, arch_id, "init"))
     state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    task1_eval = scenario.task1_eval
-    task2_eval = scenario.task2_eval
-    if eval_cap is not None and len(task1_eval) > eval_cap:
-        task1_eval = task1_eval.take(np.arange(eval_cap))
-    if eval_cap is not None and len(task2_eval) > eval_cap:
-        task2_eval = task2_eval.take(np.arange(eval_cap))
+    task1_eval = scenario.task1_eval.take(slice(eval_cap))
+    task2_eval = scenario.task2_eval.take(slice(eval_cap))
 
     note = ""
     valid = True

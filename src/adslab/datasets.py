@@ -45,9 +45,9 @@ class Dataset:
     def n_features(self) -> int:
         return self.images.shape[1]
 
-    def take(self, indices: np.ndarray, split: str | None = None) -> "Dataset":
-        return Dataset(self.name, self.images[indices], self.labels[indices],
-                       split or self.split)
+    def take(self, indices: np.ndarray | slice) -> "Dataset":
+        """The rows at ``indices``: a copy for an index array, a view for a slice."""
+        return Dataset(self.name, self.images[indices], self.labels[indices], self.split)
 
 
 class IdxFormatError(ValueError):
@@ -210,19 +210,12 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
         return ds.take(rng.choice(n, size=total, replace=False))
 
     base = np.floor(quotas).astype(int)
+    # the floors never sum past round(fraction * N), so slots are only added
     remainder = total - int(base.sum())
     if remainder > 0:
         # hand out leftovers by largest fractional part (ties by class order)
         order = np.argsort(-(quotas - base), kind="stable")
         base[order[:remainder]] += 1
-    elif remainder < 0:
-        order = np.argsort(quotas - base, kind="stable")
-        for i in order:
-            if remainder == 0:
-                break
-            if base[i] > 0:
-                base[i] -= 1
-                remainder += 1
 
     picked = []
     for cls, k in zip(classes, base):
@@ -260,10 +253,27 @@ class ScenarioSpec:
                 raise ValueError("split class sets must be disjoint")
             if not self.classes_a or not self.classes_b:
                 raise ValueError("split scenarios need both class sets")
+            if len(self.classes_a) != len(self.classes_b):
+                raise ValueError("split class sets must have equal size (shared head)")
         if self.kind == "rotated":
             for ang in (self.angle_a, self.angle_b):
                 if not 0.0 <= ang < 360.0:
                     raise ValueError(f"angles must be in [0, 360), got {ang}")
+
+    def tasks(self) -> tuple:
+        """(dataset name, transform of its splits) of task 1 and of task 2, by kind."""
+        if self.kind == "transfer":
+            return (self.src, _unchanged), (self.dst, _unchanged)
+        if self.kind == "split":
+            return tuple((self.dataset, lambda ds, c=c: _filter_remap(ds, c))
+                         for c in (self.classes_a, self.classes_b))
+        return tuple((self.dataset, lambda ds, a=a: rotate_images(ds, a))
+                     for a in (self.angle_a, self.angle_b))
+
+    @property
+    def dataset_names(self) -> tuple[str, ...]:
+        """The datasets the scenario draws on, task 1's first."""
+        return tuple(dict.fromkeys(name for name, _ in self.tasks()))
 
 
 @dataclass
@@ -288,6 +298,10 @@ class Scenario:
         return self.task1_train.n_features
 
 
+def _unchanged(ds: Dataset) -> Dataset:
+    return ds
+
+
 def _filter_remap(ds: Dataset, classes: Sequence[int]) -> Dataset:
     classes = sorted(classes)
     mask = np.isin(ds.labels, classes)
@@ -307,37 +321,13 @@ def make_scenario(spec: ScenarioSpec, pool: Mapping[str, Mapping[str, Dataset]],
     already loaded. Split scenarios remap each task's classes to [0, k);
     transfer and rotated scenarios keep the 10-way label space.
     """
-    if spec.kind == "transfer":
-        for name in (spec.src, spec.dst):
-            if name not in pool:
-                raise ValueError(f"scenario {spec.scenario_id}: dataset {name!r} not loaded")
-        t1_train = pool[spec.src]["train"]
-        t1_test = pool[spec.src]["test"]
-        t2_train = pool[spec.dst]["train"]
-        t2_test = pool[spec.dst]["test"]
-        n_classes = 10
-    elif spec.kind == "split":
-        if spec.dataset not in pool:
-            raise ValueError(f"scenario {spec.scenario_id}: dataset {spec.dataset!r} not loaded")
-        base_train = pool[spec.dataset]["train"]
-        base_test = pool[spec.dataset]["test"]
-        t1_train = _filter_remap(base_train, spec.classes_a)
-        t1_test = _filter_remap(base_test, spec.classes_a)
-        t2_train = _filter_remap(base_train, spec.classes_b)
-        t2_test = _filter_remap(base_test, spec.classes_b)
-        if len(spec.classes_a) != len(spec.classes_b):
-            raise ValueError("split class sets must have equal size (shared head)")
-        n_classes = len(spec.classes_a)
-    else:  # rotated
-        if spec.dataset not in pool:
-            raise ValueError(f"scenario {spec.scenario_id}: dataset {spec.dataset!r} not loaded")
-        base_train = pool[spec.dataset]["train"]
-        base_test = pool[spec.dataset]["test"]
-        t1_train = rotate_images(base_train, spec.angle_a)
-        t1_test = rotate_images(base_test, spec.angle_a)
-        t2_train = rotate_images(base_train, spec.angle_b)
-        t2_test = rotate_images(base_test, spec.angle_b)
-        n_classes = 10
+    for name in spec.dataset_names:
+        if name not in pool:
+            raise ValueError(f"scenario {spec.scenario_id}: dataset {name!r} not loaded")
+    t1_train, t1_test, t2_train, t2_test = (
+        transform(pool[name][split]) for name, transform in spec.tasks()
+        for split in ("train", "test"))
+    n_classes = len(spec.classes_a) if spec.kind == "split" else 10
 
     # freeze task-1 train statistics for every split of the scenario
     mean, std = feature_stats(t1_train.images)

@@ -7,12 +7,14 @@ CSV/SVG report are pure functions of (config, seeds, dataset bytes).
 Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
 resume; records append in completion order but every aggregate is
 computed from the key-sorted stream, so scheduling order never changes
-a reported number.
+a reported number. A resume under a changed config is refused, and one
+run at a time may use a directory.
 """
 
 from __future__ import annotations
 
 import configparser
+import fcntl
 import math
 import os
 import typing
@@ -250,13 +252,8 @@ def load_named_dataset(root: str, name: str) -> dict:
 
 def load_dataset_pool(cfg: ExperimentConfig) -> dict:
     root = cfg.resolved_data_root()
-    names = set()
-    for spec in cfg.scenarios:
-        if spec.kind == "transfer":
-            names.update((spec.src, spec.dst))
-        else:
-            names.add(spec.dataset)
-    return {name: load_named_dataset(root, name) for name in sorted(names)}
+    names = sorted({name for spec in cfg.scenarios for name in spec.dataset_names})
+    return {name: load_named_dataset(root, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +288,7 @@ def calibration_scenario(scenario: Scenario, fraction: float) -> Scenario:
         t2 = scenario.task2_train
     else:
         t2 = sample_subset(scenario.task2_train, fraction, scenario.seed + 7002)
-    return Scenario(scenario.spec, t1, scenario.task1_eval, t2,
-                    scenario.calib_subset, scenario.task2_eval,
-                    scenario.n_classes, scenario.seed)
+    return replace(scenario, task1_train=t1, task2_train=t2)
 
 
 def pick_calibration_archs(pool: list, n: int) -> list:
@@ -340,60 +335,82 @@ def _drop_torn_tail(path) -> None:
                           f"({len(data) - keep} bytes)", stacklevel=2)
 
 
+def _refuse_changed_config(cfg: ExperimentConfig, ini: str) -> None:
+    """Raise if the snapshot at ``ini`` was written under another config.
+
+    Only where the experiment and its data live and how many threads run
+    it may change between a run and its resume; any other change would
+    mix runs made under two configs."""
+    if not os.path.exists(ini):
+        return
+    old = load_config(ini)
+    changed = [f.name for f in fields(cfg) if f.name not in ("workers", "out_dir", "data_root")
+               and getattr(old, f.name) != getattr(cfg, f.name)]
+    if changed:
+        raise ValueError(f"{cfg.out_dir} holds runs made under another config "
+                         f"(changed: {', '.join(changed)}); rerun with the config in "
+                         f"{ini} or use a new directory")
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
     """Execute (or resume) the full experiment; returns the experiment directory."""
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
-    save_config(cfg, os.path.join(out, "experiment.ini"))
-
-    datasets = load_dataset_pool(cfg)
-    scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
-                 for s in cfg.scenarios}
-
-    manifest_path = os.path.join(out, "pool.manifest")
-    if not os.path.exists(manifest_path):
-        save_manifest(generate_pool(cfg.pool), manifest_path, seed=cfg.pool.seed)
-    pool_entries = load_manifest(manifest_path)
-
-    # calibration per scenario, unless a transfer preset scores every scenario;
-    # a missing scoring profile fails here, before the pool phase
-    for spec in cfg.scenarios:
-        if not cfg.transfer_profile:
-            for fraction in cfg.fractions_for(spec):
-                path = cfg.profile_path(profile_id(spec.scenario_id, fraction))
-                if not os.path.exists(path):
-                    save_profile(run_calibration(cfg, scenarios[spec.scenario_id],
-                                                 pool_entries, fraction), path)
-        load_profile(cfg.scoring_profile_path(spec))
-
-    # full pool runs, resumable by key
     records_path = os.path.join(out, "records.jsonl")
-    done = set()
-    if os.path.exists(records_path):
+    # one run per directory; the kernel drops the lock when the process dies
+    with open(records_path, "a") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValueError(f"{out}: another run is using this experiment directory") from None
+        ini = os.path.join(out, "experiment.ini")
+        _refuse_changed_config(cfg, ini)
+        save_config(cfg, ini)
+        os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
+
+        datasets = load_dataset_pool(cfg)
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+                     for s in cfg.scenarios}
+
+        manifest_path = os.path.join(out, "pool.manifest")
+        if not os.path.exists(manifest_path):
+            save_manifest(generate_pool(cfg.pool), manifest_path, seed=cfg.pool.seed)
+        pool_entries = load_manifest(manifest_path)
+
+        # calibration per scenario, unless a transfer preset scores every scenario;
+        # a missing scoring profile fails here, before the pool phase
+        for spec in cfg.scenarios:
+            if not cfg.transfer_profile:
+                for fraction in cfg.fractions_for(spec):
+                    path = cfg.profile_path(profile_id(spec.scenario_id, fraction))
+                    if not os.path.exists(path):
+                        save_profile(run_calibration(cfg, scenarios[spec.scenario_id],
+                                                     pool_entries, fraction), path)
+            load_profile(cfg.scoring_profile_path(spec))
+
+        # full pool runs, resumable by key
         _drop_torn_tail(records_path)
         done = {tuple(r.key) for r in read_records(records_path)}
+        jobs = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
+        arch_by_id = dict(pool_entries)
 
-    jobs = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
-    arch_by_id = dict(pool_entries)
+        def execute(job):
+            arch_id, scenario_id, seed = job
+            scenario = scenarios[scenario_id]
+            steps = steps_for(cfg, len(scenario.task1_train))
+            tc = train_config(cfg, steps, seed)
+            return run_scenario(arch_by_id[arch_id], scenario, tc,
+                                arch_id=arch_id, eval_cap=cfg.eval_cap)
 
-    def execute(job):
-        arch_id, scenario_id, seed = job
-        scenario = scenarios[scenario_id]
-        steps = steps_for(cfg, len(scenario.task1_train))
-        tc = train_config(cfg, steps, seed)
-        return run_scenario(arch_by_id[arch_id], scenario, tc,
-                            arch_id=arch_id, eval_cap=cfg.eval_cap)
+        # one worker runs the jobs in this thread; the executor starts no thread until map
+        workers = cfg.resolved_workers()
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            for rec in (map if workers == 1 else ex.map)(execute, jobs):
+                append_records(records_path, [rec])
+                if progress:
+                    progress(rec)
 
-    # one worker runs the jobs in this thread; the executor starts no thread until map
-    workers = cfg.resolved_workers()
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for rec in (map if workers == 1 else ex.map)(execute, jobs):
-            append_records(records_path, [rec])
-            if progress:
-                progress(rec)
-
-    emit_report(out)
+        emit_report(out)
     return out
 
 

@@ -8,8 +8,7 @@ machinery directly accessible.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,9 +16,6 @@ import numpy as np
 from .stats import softmax
 
 TOPOLOGY_TAGS = ("uniform", "increasing", "decreasing", "bottleneck", "spindle", "random")
-
-CHECKPOINT_MAGIC = b"ADSN"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,16 @@ class DenseNet:
 class OptimizerState:
     momentum_buffers: list[np.ndarray]
     lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
+    momentum: float
+    weight_decay: float
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
-def init_optimizer(net: DenseNet, lr: float, momentum: float = 0.0,
-                   weight_decay: float = 0.0) -> OptimizerState:
+def init_optimizer(net: DenseNet, lr: float, momentum: float,
+                   weight_decay: float) -> OptimizerState:
     return OptimizerState([np.zeros_like(w) for w in net.weights], lr, momentum, weight_decay)
 
 
@@ -109,13 +105,6 @@ class ForwardTrace:
 
     activations: list[np.ndarray]    # a^(0)..a^(L); a^(0) is the input batch
     logits: np.ndarray
-
-
-@dataclass
-class GradientSet:
-    """Per-weight-layer gradient matrices, same shapes as DenseNet.weights."""
-
-    layers: list[np.ndarray]
 
 
 class DivergenceError(RuntimeError):
@@ -154,12 +143,12 @@ def forward(net: DenseNet, batch: np.ndarray) -> ForwardTrace:
 
 
 def _backward(net: DenseNet, trace: ForwardTrace,
-              dlogits: np.ndarray) -> tuple[GradientSet, list[np.ndarray]]:
+              dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Backprop an output-side gradient through the net.
 
-    Returns the per-layer weight gradients plus the error signals
-    delta^(l) = dObjective/dz^(l) (the output layer's delta first in
-    reverse order is dlogits itself).
+    Returns the per-layer weight gradients, shaped like ``net.weights``,
+    plus the error signals delta^(l) = dObjective/dz^(l) (the output
+    layer's delta first in reverse order is dlogits itself).
     """
     L = net.spec.depth
     grads: list[np.ndarray | None] = [None] * (L + 1)
@@ -171,11 +160,11 @@ def _backward(net: DenseNet, trace: ForwardTrace,
         delta = (delta @ net.weights[l + 1]) * (trace.activations[l + 1] > 0.0)
         deltas[l] = delta
         grads[l] = delta.T @ trace.activations[l]
-    return GradientSet(grads), deltas
+    return grads, deltas
 
 
 def loss_and_backward(net: DenseNet, trace: ForwardTrace,
-                      labels: np.ndarray) -> tuple[float, GradientSet]:
+                      labels: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its weight gradients."""
     labels = np.asarray(labels)
     n, n_classes = trace.logits.shape
@@ -204,7 +193,8 @@ def error_signals(net: DenseNet, trace: ForwardTrace, labels: np.ndarray) -> lis
     return deltas
 
 
-def logit_gradient(net: DenseNet, batch: np.ndarray, class_indices: np.ndarray) -> GradientSet:
+def logit_gradient(net: DenseNet, batch: np.ndarray,
+                   class_indices: np.ndarray) -> list[np.ndarray]:
     """Gradient of the mean true-class logit over the batch (the g_old probe)."""
     class_indices = np.asarray(class_indices)
     trace = forward(net, batch)
@@ -221,7 +211,7 @@ def logit_gradient(net: DenseNet, batch: np.ndarray, class_indices: np.ndarray) 
     return grads
 
 
-def sgd_step(net: DenseNet, grads: GradientSet, state: OptimizerState) -> tuple[DenseNet, OptimizerState]:
+def sgd_step(net: DenseNet, grads: list[np.ndarray], state: OptimizerState) -> None:
     """One SGD step with momentum and weight decay, in place.
 
     buffer <- momentum * buffer + (grad + wd * weight)
@@ -229,18 +219,13 @@ def sgd_step(net: DenseNet, grads: GradientSet, state: OptimizerState) -> tuple[
 
     A non-finite gradient raises DivergenceError before any weight moves.
     """
-    for l, g in enumerate(grads.layers):
+    for l, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient entries in layer {l + 1}")
-    for l in range(len(net.weights)):
-        buf = state.momentum_buffers[l]
+    for w, g, buf in zip(net.weights, grads, state.momentum_buffers):
         buf *= state.momentum
-        if state.weight_decay != 0.0:
-            buf += grads.layers[l] + state.weight_decay * net.weights[l]
-        else:
-            buf += grads.layers[l]
-        net.weights[l] -= state.lr * buf
-    return net, state
+        buf += g + state.weight_decay * w
+        w -= state.lr * buf
 
 
 class PowerIterResult(NamedTuple):
@@ -279,44 +264,3 @@ def spectral_norm(matrix: np.ndarray, tol: float = 1e-6, max_iter: int = 500) ->
         sigma_prev = sigma
     return PowerIterResult(sigma_prev, False, max_iter)
 
-
-def save_network(net: DenseNet, path) -> None:
-    """Flat binary checkpoint: magic, version, L, widths, then row-major f64 LE weights."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", net.spec.depth))
-        fh.write(struct.pack("<I", len(net.spec.widths)))
-        for w in net.spec.widths:
-            fh.write(struct.pack("<I", w))
-        for w in net.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-
-
-def load_network(path) -> DenseNet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, depth, n_widths = struct.unpack("<III", data[4:16])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    offset = 16
-    widths = struct.unpack(f"<{n_widths}I", data[offset:offset + 4 * n_widths])
-    offset += 4 * n_widths
-    if n_widths != depth + 2:
-        raise ValueError(f"checkpoint widths length {n_widths} != depth+2 = {depth + 2}")
-    tag = "uniform" if len(set(widths[1:-1])) <= 1 else "random"
-    spec = ArchitectureSpec(depth=depth, widths=tuple(widths), topology_tag=tag)
-    weights = []
-    for l in range(depth + 1):
-        rows, cols = widths[l + 1], widths[l]
-        n_bytes = rows * cols * 8
-        if offset + n_bytes > len(data):
-            raise ValueError("truncated checkpoint payload")
-        mat = np.frombuffer(data[offset:offset + n_bytes], dtype="<f8").reshape(rows, cols)
-        weights.append(mat.astype(np.float64, copy=True))
-        offset += n_bytes
-    if offset != len(data):
-        raise ValueError("trailing bytes after checkpoint payload")
-    return DenseNet(spec, weights)

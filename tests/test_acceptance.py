@@ -187,7 +187,7 @@ def test_criterion_1_gradient_oracle():
         fd = fd_grad(loss_obj, net)
         err = max(
             (np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)).max()
-            for a, f in zip(grads.layers, fd))
+            for a, f in zip(grads, fd))
         worst = max(worst, err)
         n_nets += 1
 
@@ -202,7 +202,7 @@ def test_criterion_1_gradient_oracle():
         fd2 = fd_grad(logit_obj, net2)
         err2 = max(
             (np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)).max()
-            for a, f in zip(grads2.layers, fd2))
+            for a, f in zip(grads2, fd2))
         worst = max(worst, err2)
         n_nets += 1
     elapsed = time.time() - t0
@@ -249,7 +249,7 @@ def test_criterion_3_gradient_norm_width_scaling():
                 ArchitectureSpec(2, (64, width, width, 10)), seed=seed)
             x = rng.standard_normal((1, 64))
             g = logit_gradient(net, x, np.array([0]))
-            vals.append(spectral_norm(g.layers[1]).value)
+            vals.append(spectral_norm(g[1]).value)
         means[width] = float(np.mean(vals))
     ratio = means[1024] / means[256]
     elapsed = time.time() - t0

@@ -72,7 +72,7 @@ class TestTrainTask:
         outs = []
         for _ in range(2):
             net = init_network(ARCH, seed=1)
-            state = init_optimizer(net, lr=1e-2, momentum=0.9)
+            state = init_optimizer(net, lr=1e-2, momentum=0.9, weight_decay=0.0)
             cfg = TrainConfig(steps_per_task=10, batch_size=32, lr=1e-2, seed=5)
             train_task(net, state, scenario.task1_train, cfg, seed=cfg.seed)
             outs.append([w.copy() for w in net.weights])
@@ -82,7 +82,7 @@ class TestTrainTask:
     def test_loss_decreases_on_separable_data(self):
         ds = toy_dataset(seed=4)
         net = init_network(ARCH, seed=2)
-        state = init_optimizer(net, lr=1e-2, momentum=0.0)
+        state = init_optimizer(net, lr=1e-2, momentum=0.0, weight_decay=0.0)
         cfg = TrainConfig(steps_per_task=1, batch_size=256, lr=1e-2, seed=0)
         losses = []
         for _ in range(10):
@@ -131,7 +131,7 @@ class TestComputeGold:
         ds = toy_dataset(n=1, seed=3)
         gold = compute_gold(net, ds)
         direct = logit_gradient(net, ds.images, ds.labels)
-        for a, b in zip(gold.layers, direct.layers):
+        for a, b in zip(gold, direct):
             np.testing.assert_array_equal(a, b)
 
     def test_unit_flatten_normalizes(self):
@@ -147,7 +147,7 @@ class TestComputeGold:
                       np.concatenate([ds.labels, ds.labels]), "train")
         g1 = compute_gold(net, ds)
         g2 = compute_gold(net, dup)
-        for a, b in zip(g1.layers, g2.layers):
+        for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
 
@@ -165,8 +165,8 @@ class TestRunScenario:
         calls = []
         original = clrun.forward
 
-        def counting(net, batch):
-            if any(batch is images for images in eval_images):
+        def counting(net, batch):  # the eval sets reach forward as capped views
+            if any(np.shares_memory(batch, images) for images in eval_images):
                 calls.append(batch)
             return original(net, batch)
 
@@ -174,7 +174,7 @@ class TestRunScenario:
         rec = self.run(scenario=scenario)
         assert rec.valid
         assert len(calls) == 3
-        assert sum(batch is scenario.task1_eval.images for batch in calls) == 2
+        assert sum(np.shares_memory(batch, eval_images[0]) for batch in calls) == 2
 
     def test_start_net_untouched_by_recording(self):
         scenario = toy_scenario()
@@ -263,7 +263,7 @@ class TestDivergenceGuard:
 
         def nan_grads(net, trace, labels):
             loss, grads = original(net, trace, labels)
-            grads.layers[0][0, 0] = np.nan
+            grads[0][0, 0] = np.nan
             return loss, grads
 
         monkeypatch.setattr(clrun, "loss_and_backward", nan_grads)
@@ -276,7 +276,7 @@ class TestDivergenceGuard:
     def test_two_class_separable_loss_strictly_decreases(self):
         ds = toy_dataset(n=256, n_classes=2, seed=9)
         net = init_network(ArchitectureSpec(2, (12, 24, 16, 2), "random"), seed=1)
-        state = init_optimizer(net, lr=1e-2, momentum=0.0)
+        state = init_optimizer(net, lr=1e-2, momentum=0.0, weight_decay=0.0)
         cfg = TrainConfig(steps_per_task=1, batch_size=256, lr=1e-2, seed=0)
         losses = []
         for _ in range(10):

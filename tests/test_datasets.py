@@ -179,6 +179,17 @@ class TestSampleSubset:
         for frac in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
             sub = sample_subset(ds, frac, seed=2)
             assert len(sub) == round(frac * 1000)
+        # seeded random class counts and fractions, every class quota >= 1
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            frac = float(rng.uniform(0.02, 1.0))
+            counts = rng.integers(int(np.ceil(1 / frac)) + 1, 400, size=rng.integers(1, 11))
+            labels = np.repeat(np.arange(len(counts)), counts)
+            ds = Dataset("toy", np.zeros((len(labels), 1)), labels, "train")
+            sub = sample_subset(ds, frac, seed=case)
+            assert len(sub) == round(frac * len(labels))
+            got = np.bincount(sub.labels, minlength=len(counts))
+            assert np.all(np.abs(got - frac * counts) < 1)
 
     def test_deterministic(self):
         ds = self.balanced_ds()
@@ -244,6 +255,15 @@ class TestMakeScenario:
         sc = make_scenario(spec, synth_pool, seed=0)
         assert sc.n_classes == 10
         assert len(sc.task2_train) == len(sc.task1_train)
+
+    def test_missing_dataset_named(self, synth_pool):
+        spec = ScenarioSpec("mc", "transfer", src="mnist", dst="cifar10")
+        with pytest.raises(ValueError, match="dataset 'cifar10' not loaded"):
+            make_scenario(spec, synth_pool, seed=0)
+
+    def test_unequal_split_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="equal size"):
+            ScenarioSpec("s", "split", dataset="mnist", classes_a=(0, 1), classes_b=(2,))
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):

@@ -1,6 +1,8 @@
 """Orchestration tests: config round-trips, resume, worker invariance, CLI."""
 
+import fcntl
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields, replace
 
@@ -136,6 +138,13 @@ class TestConfigFile:
         assert cfg.scenarios[0].kind == "split"
         assert cfg.scenarios[0].classes_a == (0, 1, 2, 3, 4)
 
+    def test_unequal_split_named_at_load(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nseeds = 0\n[scenario s]\nkind = split\n"
+                        "dataset = mnist\nclasses_a = 0,1\nclasses_b = 2\n")
+        with pytest.raises(ValueError, match=r"\[scenario s\].*equal size"):
+            load_config(path)
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/path.ini")
@@ -250,6 +259,41 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert snapshot() == before
 
+    def test_resume_refuses_a_changed_config(self, data_root, tmp_path, capsys):
+        cfg = tiny_config(str(data_root), out_name="exp_refuse", seeds=(0,))
+        out = run_experiment(cfg)
+        names = ("records.jsonl", "experiment.ini")
+
+        def snapshot():
+            return [open(os.path.join(out, name), "rb").read() for name in names]
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="changed: lr"):
+            run_experiment(replace(cfg, lr=cfg.lr * 2))
+        assert snapshot() == before
+
+        # the CLI's single-seed override of a directory made under other seeds
+        cfg_path = tmp_path / "c.ini"
+        save_config(cfg, cfg_path)
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(cfg_path), "--seed", "5", "--quiet"]) == 2
+        assert "changed: seeds" in capsys.readouterr().err
+        assert snapshot() == before
+
+        # the worker count may change between a run and its resume
+        run_experiment(replace(cfg, workers=2))
+        assert snapshot()[0] == before[0]
+
+    def test_second_run_on_a_directory_refused(self, data_root):
+        cfg = tiny_config(str(data_root), out_name="exp_locked", seeds=(0,))
+        os.makedirs(cfg.out_dir)
+        records_path = os.path.join(cfg.out_dir, "records.jsonl")
+        with open(records_path, "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(ValueError, match=re.escape(cfg.out_dir)):
+                run_experiment(cfg)
+        assert os.path.getsize(records_path) == 0
+
     def test_malformed_record_line_named(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('\n{"arch_id": \n{}\n')
@@ -286,17 +330,22 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 1
 
     def test_correlate_insufficient_sample_exits_two(self, tmp_path, data_root, capsys):
+        from adslab.calib import CalibrationParams, save_profile
         cfg = tiny_config(str(data_root), out_name="exp_small", seeds=(0,))
         cfg.pool = PoolConfig(depths=(3,), width_candidates=(32, 64),
                               per_category_counts={"uniform": 2}, seed=1)
         cfg.out_dir = str(tmp_path / "small_exp")
-        try:
+        # two archs cannot be calibrated on, so a preset scores them
+        cfg.profiles_dir, cfg.transfer_profile = str(tmp_path / "presets"), "preset"
+        os.makedirs(cfg.profiles_dir)
+        save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
+                     cfg.profile_path("preset"))
+        # the run itself reports insufficiency at the report stage
+        with pytest.raises(ValueError, match="insufficient sample"):
             run_experiment(cfg)
-        except ValueError:
-            pass  # the run itself reports insufficiency at the report stage
         rc = cli_main(["report", "--exp", cfg.out_dir])
         assert rc == 2
-        assert "insufficient" in capsys.readouterr().err
+        assert "insufficient sample: scenario mf has 2 architectures" in capsys.readouterr().err
 
     def test_report_command(self, data_root, capsys):
         out = os.path.join(str(data_root), "exp_main")

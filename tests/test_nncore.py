@@ -17,10 +17,8 @@ from adslab.nncore import (
     forward,
     init_network,
     init_optimizer,
-    load_network,
     logit_gradient,
     loss_and_backward,
-    save_network,
     sgd_step,
     spectral_norm,
 )
@@ -189,7 +187,7 @@ class TestLossAndBackward:
             return probs_loss
 
         fd = fd_grad(objective, net)
-        worst = max(rel_err(a, f).max() for a, f in zip(grads.layers, fd))
+        worst = max(rel_err(a, f).max() for a, f in zip(grads, fd))
         assert worst < 1e-4
 
     def test_duplicated_batch_mean_invariance(self):
@@ -203,7 +201,7 @@ class TestLossAndBackward:
         t2 = forward(net, x2)
         loss2, g2 = loss_and_backward(net, t2, np.concatenate([labels, labels]))
         assert abs(loss1 - loss2) < 1e-12
-        for a, b in zip(g1.layers, g2.layers):
+        for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
     def test_label_out_of_range(self):
@@ -227,9 +225,9 @@ class TestLogitGradient:
         x = rng.standard_normal((1, 5))
         g = logit_gradient(net, x, np.array([2]))
         a_last = forward(net, x).activations[-1][0]
-        np.testing.assert_allclose(g.layers[-1][2], a_last, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g[-1][2], a_last, rtol=0, atol=1e-15)
         for row in (0, 1, 3):
-            assert np.all(g.layers[-1][row] == 0.0)
+            assert np.all(g[-1][row] == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -243,7 +241,7 @@ class TestLogitGradient:
             return float(np.mean(logits[np.arange(3), classes]))
 
         fd = fd_grad(objective, net)
-        worst = max(rel_err(a, f).max() for a, f in zip(grads.layers, fd))
+        worst = max(rel_err(a, f).max() for a, f in zip(grads, fd))
         assert worst < 1e-4
 
     def test_batch_mean_linearity(self):
@@ -256,7 +254,7 @@ class TestLogitGradient:
         ga = logit_gradient(net, xa, ca)
         gb = logit_gradient(net, xb, cb)
         gcat = logit_gradient(net, np.vstack([xa, xb]), np.concatenate([ca, cb]))
-        for a, b, c in zip(ga.layers, gb.layers, gcat.layers):
+        for a, b, c in zip(ga, gb, gcat):
             np.testing.assert_allclose((a + b) / 2, c, rtol=0, atol=1e-15)
 
     def test_class_out_of_range(self):
@@ -274,17 +272,15 @@ class TestSgdStep:
         net = init_network(small_spec([2, 3, 2]), seed=0)
         before = [w.copy() for w in net.weights]
         grads_mats = [np.ones_like(w) for w in net.weights]
-        from adslab.nncore import GradientSet
         state = init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(net, GradientSet(grads_mats), state)
+        sgd_step(net, grads_mats, state)
         for b, w in zip(before, net.weights):
             np.testing.assert_allclose(w, b - 0.1, rtol=0, atol=1e-15)
 
     def test_zero_grad_fixed_point(self):
         net = init_network(small_spec([2, 3, 2]), seed=0)
         before = [w.copy() for w in net.weights]
-        from adslab.nncore import GradientSet
-        zero = GradientSet([np.zeros_like(w) for w in net.weights])
+        zero = [np.zeros_like(w) for w in net.weights]
         state = init_optimizer(net, lr=0.5, momentum=0.9, weight_decay=0.0)
         sgd_step(net, zero, state)
         for b, w in zip(before, net.weights):
@@ -293,15 +289,14 @@ class TestSgdStep:
     def test_momentum_matches_scalar_recurrence(self):
         # 1x1 weight, hand-unrolled: b1 = g1 + wd*w0; w1 = w0 - lr*b1;
         # b2 = m*b1 + g2 + wd*w1; w2 = w1 - lr*b2
-        from adslab.nncore import GradientSet
         spec = ArchitectureSpec(depth=1, widths=(1, 1, 1))
         w0, g1, g2 = 0.7, 0.3, -0.2
         lr, m, wd = 0.05, 0.9, 0.01
         net = DenseNet(spec, [np.array([[w0]]), np.array([[1.0]])])
         state = init_optimizer(net, lr=lr, momentum=m, weight_decay=wd)
         zero_out = np.zeros((1, 1))
-        sgd_step(net, GradientSet([np.array([[g1]]), zero_out.copy()]), state)
-        sgd_step(net, GradientSet([np.array([[g2]]), zero_out.copy()]), state)
+        sgd_step(net, [np.array([[g1]]), zero_out.copy()], state)
+        sgd_step(net, [np.array([[g2]]), zero_out.copy()], state)
         b1 = g1 + wd * w0
         w1 = w0 - lr * b1
         b2 = m * b1 + g2 + wd * w1
@@ -309,14 +304,13 @@ class TestSgdStep:
         assert abs(net.weights[0][0, 0] - w2) < 1e-12
 
     def test_nonfinite_gradient_names_layer(self):
-        from adslab.nncore import GradientSet
         net = init_network(small_spec([2, 3, 2]), seed=0)
         before = [w.copy() for w in net.weights]
         bad = [np.zeros_like(w) for w in net.weights]
         bad[1][0, 0] = np.nan
-        state = init_optimizer(net, lr=0.1)
+        state = init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
         with pytest.raises(DivergenceError, match="layer 2"):
-            sgd_step(net, GradientSet(bad), state)
+            sgd_step(net, bad, state)
         for b, w in zip(before, net.weights):
             assert np.array_equal(b, w)
 
@@ -431,38 +425,7 @@ def test_gradient_spectral_norm_scales_with_sqrt_fan_in():
             net = init_network(small_spec([64, width, width, 10]), seed=seed)
             x = rng.standard_normal((1, 64))
             g = logit_gradient(net, x, np.array([0]))
-            vals.append(spectral_norm(g.layers[1]).value)
+            vals.append(spectral_norm(g[1]).value)
         means[width] = np.mean(vals)
     ratio = means[1024] / means[256]
     assert 1.4 < ratio < 2.8
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = init_network(small_spec([12, 7, 9, 4], tag="random"), seed=13)
-        path = tmp_path / "net.adsn"
-        save_network(net, path)
-        loaded = load_network(path)
-        assert loaded.spec.depth == net.spec.depth
-        assert loaded.spec.widths == net.spec.widths
-        for a, b in zip(net.weights, loaded.weights):
-            assert a.tobytes() == b.tobytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.adsn"
-        path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            load_network(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        net = init_network(small_spec([4, 3, 2]), seed=1)
-        path = tmp_path / "net.adsn"
-        save_network(net, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated|trailing"):
-            load_network(path)
