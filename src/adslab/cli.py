@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import harness
 from .ads import compute_ads
@@ -117,22 +116,12 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    if args.pool:
-        # adopt the supplied manifest as the experiment's pool
-        load_manifest(args.pool)  # validate before copying
-        supplied = Path(args.pool).read_bytes()
-        target = Path(cfg.out_dir, "pool.manifest")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if not target.exists():
-            target.write_bytes(supplied)
-        elif target.read_bytes() != supplied:
-            raise ValueError(f"{target} already exists and differs from {args.pool}")
     progress = None
     if not args.quiet:
         def progress(rec):
             print(f"  done {rec.arch_id} {rec.scenario_id} seed={rec.seed} "
                   f"shift={rec.observed_shift:.3f} acc1={rec.task1_eval_acc:.3f}")
-    out = run_experiment(cfg, progress=progress)
+    out = run_experiment(cfg, progress=progress, pool_manifest=args.pool or None)
     print(f"experiment complete: {out}")
     return 0
 

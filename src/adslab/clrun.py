@@ -34,9 +34,11 @@ from .nncore import (
     DenseNet,
     DivergenceError,
     OptimizerState,
+    Workspace,
     forward,
     init_network,
     init_optimizer,
+    layer_views,
     logit_gradient,
     loss_and_backward,
     sgd_step,
@@ -158,14 +160,18 @@ def unit_flatten(grads: list[np.ndarray]) -> list[np.ndarray]:
 class TraceRecorder:
     """Accumulates per-layer trajectory statistics during task-2 training.
 
-    Reads ``net_start``'s weight arrays uncopied, so ``net_start`` must stay frozen."""
+    Reads ``net_start``'s weight arrays uncopied, so ``net_start`` must stay
+    frozen. Of ``gold`` it keeps only the hidden layers' spectral norms and
+    unit vectors, so the caller's gradient can be freed once this is built."""
 
     def __init__(self, net_start: DenseNet, gold: list[np.ndarray], cfg: TrainConfig):
         self.n_layers = net_start.spec.depth  # hidden weight layers; the head is not traced
         self.start_weights = net_start.weights
-        self.segment_anchor = net_start.weights[:self.n_layers]
-        self.gold = gold
-        self.gold_units = unit_flatten(gold)
+        # the head is stored last, so the hidden layers are a prefix of the flat vector
+        self.segment_anchor = net_start.flat[:-net_start.weights[-1].size].copy()
+        self.anchor_layers = layer_views(net_start.spec.widths[:-1], self.segment_anchor)
+        self.gold_spectral = [spectral_norm(g).value for g in gold[:self.n_layers]]
+        self.gold_units = unit_flatten(gold[:self.n_layers])
         self.trace_every = cfg.trace_every
         self.segment_len = max(1, cfg.steps_per_task // cfg.path_segments)
         self.pathlen = np.zeros(self.n_layers)
@@ -188,9 +194,11 @@ class TraceRecorder:
             self._close_segment(net)
 
     def _close_segment(self, net: DenseNet) -> None:
+        hidden = net.flat[:self.segment_anchor.size]
+        np.subtract(hidden, self.segment_anchor, out=self.segment_anchor)  # the segment's step
         for l in range(self.n_layers):
-            self.pathlen[l] += np.linalg.norm(net.weights[l] - self.segment_anchor[l])
-            self.segment_anchor[l] = net.weights[l].copy()
+            self.pathlen[l] += np.linalg.norm(self.anchor_layers[l])
+        np.copyto(self.segment_anchor, hidden)
 
     def finalize(self, net_end: DenseNet) -> list[LayerTrace]:
         """Produce LayerTraces for the hidden weight layers l = 1..L."""
@@ -206,7 +214,6 @@ class TraceRecorder:
             c_traj = pathlen / disp if disp > 0 else float("nan")
             rel = disp / float(np.linalg.norm(before))
             mean_cos = self.abs_cos_sum[l] / self.n_cos_samples  # step 1 is always sampled
-            gold_spec = spectral_norm(self.gold[l]).value
             traces.append(LayerTrace(
                 layer_index=l + 1,
                 disp=disp,
@@ -214,7 +221,7 @@ class TraceRecorder:
                 c_traj=c_traj,
                 rel_change=rel,
                 mean_abs_cos=float(mean_cos),
-                gold_spectral=float(gold_spec),
+                gold_spectral=float(self.gold_spectral[l]),
                 w_in=spec.widths[l],
                 w_out=spec.widths[l + 1],
                 grad_norm_sum=float(self.grad_norm_sum[l]),
@@ -227,12 +234,15 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
     """Run ``cfg.steps_per_task`` minibatch SGD steps, shuffled by ``seed``;
     mutates net/state in place.
 
-    Returns (net, state, stats_dict). A non-finite loss or gradient raises
-    DivergenceError so the caller can flag the run instead of crashing
-    a whole pool.
+    Every step runs in one preallocated workspace; an epoch's short last
+    batch uses its leading rows. Returns (net, state, stats_dict). A
+    non-finite loss or gradient raises DivergenceError so the caller can
+    flag the run instead of crashing a whole pool.
     """
     rng = np.random.default_rng(seed)
     n = len(dataset)
+    full = Workspace(net.spec, min(cfg.batch_size, n))
+    last = full.head(n % cfg.batch_size or full.rows)
     losses = []
     done = 0
     while done < cfg.steps_per_task:
@@ -241,13 +251,15 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
             if done >= cfg.steps_per_task:
                 break
             idx = order[start:start + cfg.batch_size]
-            batch = dataset.images[idx]
+            ws = full if len(idx) == full.rows else last
+            # idx is in range, and "clip" lets take write into ws.batch unbuffered
+            batch = np.take(dataset.images, idx, axis=0, out=ws.batch, mode="clip")
             labels = dataset.labels[idx]
-            trace = forward(net, batch)
-            loss, grads = loss_and_backward(net, trace, labels)
+            trace = forward(net, batch, ws=ws)
+            loss, grads = loss_and_backward(net, trace, labels, ws=ws)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {done}")
-            sgd_step(net, grads, state)
+            sgd_step(net, ws.grad, state)
             if recorder is not None:
                 recorder.after_step(net, grads)
             losses.append(loss)
@@ -286,7 +298,6 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     t0 = time.time()
     spec = arch.with_dims(scenario.input_dim, scenario.n_classes)
     net = init_network(spec, derive_seed(cfg.seed, arch_id, "init"))
-    state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     task1_eval = scenario.task1_eval.take(slice(eval_cap))
     task2_eval = scenario.task2_eval.take(slice(eval_cap))
@@ -294,17 +305,15 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     note = ""
     valid = True
     try:
-        train_task(net, state, scenario.task1_train, cfg,
-                   seed=derive_seed(cfg.seed, arch_id, "task1"))
+        # each task is its own S-step phase with fresh momentum, freed when it ends
+        train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
+                   scenario.task1_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task1"))
         net_t = net.copy()  # frozen task-1 net; the recorder reads its weights
-        gold = compute_gold(net_t, scenario.calib_subset)
         task1_eval_acc, ece_before, f_t = evaluate(net_t, task1_eval)
-
-        recorder = TraceRecorder(net_t, gold, cfg)
-        # fresh momentum between tasks: each task is its own S-step phase
-        state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
-        train_task(net, state, scenario.task2_train, cfg,
-                   seed=derive_seed(cfg.seed, arch_id, "task2"), recorder=recorder)
+        recorder = TraceRecorder(net_t, compute_gold(net_t, scenario.calib_subset), cfg)
+        train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
+                   scenario.task2_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task2"),
+                   recorder=recorder)
         traces = recorder.finalize(net)
         _, ece_after, f_t1 = evaluate(net, task1_eval)
         observed_shift = measure_logit_shift(f_t, f_t1)

@@ -352,8 +352,27 @@ def _refuse_changed_config(cfg: ExperimentConfig, ini: str) -> None:
                          f"{ini} or use a new directory")
 
 
-def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
-    """Execute (or resume) the full experiment; returns the experiment directory."""
+def _adopt_manifest(supplied: str, target: str) -> None:
+    """Copy a supplied pool manifest to ``target``, or refuse one that differs from it."""
+    load_manifest(supplied)  # validate before copying
+    with open(supplied, "rb") as fh:
+        data = fh.read()
+    if not os.path.exists(target):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    with open(target, "rb") as fh:
+        if fh.read() != data:
+            raise ValueError(f"{target} already exists and differs from {supplied}")
+
+
+def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | None = None) -> str:
+    """Execute (or resume) the full experiment; returns the experiment directory.
+
+    ``pool_manifest`` names a manifest to adopt as the experiment's pool. It
+    is copied in under the directory lock, after the config check, so a
+    refused run leaves no manifest behind.
+    """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     records_path = os.path.join(out, "records.jsonl")
@@ -365,6 +384,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
             raise ValueError(f"{out}: another run is using this experiment directory") from None
         ini = os.path.join(out, "experiment.ini")
         _refuse_changed_config(cfg, ini)
+        manifest_path = os.path.join(out, "pool.manifest")
+        if pool_manifest is not None:
+            _adopt_manifest(pool_manifest, manifest_path)
         save_config(cfg, ini)
         os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
 
@@ -372,7 +394,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> str:
         scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
                      for s in cfg.scenarios}
 
-        manifest_path = os.path.join(out, "pool.manifest")
         if not os.path.exists(manifest_path):
             save_manifest(generate_pool(cfg.pool), manifest_path, seed=cfg.pool.seed)
         pool_entries = load_manifest(manifest_path)

@@ -1,14 +1,15 @@
 """Dense network engine: no-bias ReLU nets, backprop, SGD with momentum.
 
-Everything here is deterministic 64-bit numpy. Networks are plain weight
-lists (no autograd); gradients come from the explicit error-signal
-recursion, which keeps the per-layer quantities needed by the trace
-machinery directly accessible.
+Everything here is deterministic 64-bit numpy. A network's weights are
+per-layer views of one flat vector (no autograd); gradients come from the
+explicit error-signal recursion and are laid out the same way, so copies
+and SGD updates are single passes over contiguous memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,32 +71,66 @@ def arch_diagnostics(spec: ArchitectureSpec) -> list[str]:
     return problems
 
 
+def n_params(spec: ArchitectureSpec) -> int:
+    """Number of weights in a net of this spec."""
+    return sum(a * b for a, b in zip(spec.widths[:-1], spec.widths[1:]))
+
+
+def layer_views(widths, flat: np.ndarray) -> list[np.ndarray]:
+    """Per-layer (w_out, w_in) views of a flat parameter-shaped vector, layer 1 first."""
+    views, start = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        stop = start + fan_in * fan_out
+        views.append(flat[start:stop].reshape(fan_out, fan_in))
+        start = stop
+    return views
+
+
 @dataclass
 class DenseNet:
-    """Weight matrices of a no-bias ReLU net; matrix l maps layer l-1 to l."""
+    """Weights of a no-bias ReLU net, stored in one contiguous float64 vector.
+
+    ``weights[l]`` is the (w_out, w_in) view of ``flat`` for matrix l, which
+    maps layer l-1 to l. The head is stored last, so the hidden layers are a
+    prefix of ``flat``.
+    """
 
     spec: ArchitectureSpec
-    weights: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (n_params(self.spec),) or self.flat.dtype != np.float64:
+            raise ValueError(f"flat weights must be float64 of shape ({n_params(self.spec)},), "
+                             f"got {self.flat.dtype} {self.flat.shape}")
+        self.weights = layer_views(self.spec.widths, self.flat)
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.spec, [w.copy() for w in self.weights])
+        return DenseNet(self.spec, self.flat.copy())
+
+
+# SGD runs over the flat vectors in blocks this long, so each block's four
+# arrays stay in cache across the six element-wise passes
+SGD_BLOCK = 16384
 
 
 @dataclass
 class OptimizerState:
-    momentum_buffers: list[np.ndarray]
+    buffer: np.ndarray  # momentum, laid out like DenseNet.flat
     lr: float
     momentum: float
     weight_decay: float
+    scratch: np.ndarray = field(init=False, repr=False)  # one SGD block's temporary
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        self.scratch = np.empty(min(SGD_BLOCK, self.buffer.size))
 
 
 def init_optimizer(net: DenseNet, lr: float, momentum: float,
                    weight_decay: float) -> OptimizerState:
-    return OptimizerState([np.zeros_like(w) for w in net.weights], lr, momentum, weight_decay)
+    return OptimizerState(np.zeros_like(net.flat), lr, momentum, weight_decay)
 
 
 @dataclass
@@ -105,6 +140,38 @@ class ForwardTrace:
 
     activations: list[np.ndarray]    # a^(0)..a^(L); a^(0) is the input batch
     logits: np.ndarray
+
+
+class Workspace:
+    """Buffers for the training steps of one net shape at one batch size.
+
+    ``forward`` and ``loss_and_backward`` fill them with ``out=``, so a step
+    allocates nothing of the size of a layer. The ForwardTrace and the
+    gradients a workspace step returns are overwritten by the next step.
+    """
+
+    def __init__(self, spec: ArchitectureSpec, rows: int):
+        hidden = spec.hidden_widths
+        self.rows = rows
+        self.batch = np.empty((rows, spec.input_dim))
+        self.activations = [np.empty((rows, w)) for w in hidden]
+        self.logits = np.empty((rows, spec.output_dim))
+        self.deltas = [np.empty((rows, w)) for w in hidden]
+        self.masks = [np.empty((rows, w), dtype=bool) for w in hidden]
+        self.grad = np.empty(n_params(spec))
+        self.grads = layer_views(spec.widths, self.grad)
+
+    def head(self, rows: int) -> "Workspace":
+        """A workspace for a smaller batch: the first ``rows`` rows of every
+        row buffer, sharing this one's memory and gradient."""
+        ws = copy.copy(self)
+        ws.rows = rows
+        ws.batch = self.batch[:rows]
+        ws.activations = [a[:rows] for a in self.activations]
+        ws.logits = self.logits[:rows]
+        ws.deltas = [d[:rows] for d in self.deltas]
+        ws.masks = [m[:rows] for m in self.masks]
+        return ws
 
 
 class DivergenceError(RuntimeError):
@@ -117,17 +184,18 @@ def init_network(spec: ArchitectureSpec, seed: int) -> DenseNet:
     if problems:
         raise ValueError("invalid architecture spec: " + "; ".join(problems))
     rng = np.random.default_rng(seed)
-    weights = []
-    for l in range(spec.depth + 1):
-        fan_in = spec.widths[l]
-        fan_out = spec.widths[l + 1]
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.standard_normal((fan_out, fan_in)) * std)
-    return DenseNet(spec, weights)
+    net = DenseNet(spec, np.empty(n_params(spec)))
+    for l, w in enumerate(net.weights):
+        rng.standard_normal(out=w)
+        w *= np.sqrt(2.0 / spec.widths[l])
+    return net
 
 
-def forward(net: DenseNet, batch: np.ndarray) -> ForwardTrace:
-    """Run the net on a (batch, features) matrix; ReLU on hidden layers only."""
+def forward(net: DenseNet, batch: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
+    """Run the net on a (batch, features) matrix; ReLU on hidden layers only.
+
+    With a workspace the activations and logits are written into its buffers.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.spec.input_dim:
         raise ValueError(
@@ -136,35 +204,36 @@ def forward(net: DenseNet, batch: np.ndarray) -> ForwardTrace:
     activations = [batch]
     a = batch
     for l in range(net.spec.depth):
-        a = np.maximum(a @ net.weights[l].T, 0.0)
+        a = np.matmul(a, net.weights[l].T, out=None if ws is None else ws.activations[l])
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
-    logits = a @ net.weights[-1].T
+    logits = np.matmul(a, net.weights[-1].T, out=None if ws is None else ws.logits)
     return ForwardTrace(activations, logits)
 
 
-def _backward(net: DenseNet, trace: ForwardTrace,
-              dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _backward(net: DenseNet, trace: ForwardTrace, dlogits: np.ndarray,
+              ws: Workspace | None = None) -> list[np.ndarray]:
     """Backprop an output-side gradient through the net.
 
-    Returns the per-layer weight gradients, shaped like ``net.weights``,
-    plus the error signals delta^(l) = dObjective/dz^(l) (the output
-    layer's delta first in reverse order is dlogits itself).
+    Returns the per-layer weight gradients, shaped like ``net.weights``:
+    views of ``ws.grad``, or of a new flat vector without a workspace. Only
+    one error signal delta^(l) = dObjective/dz^(l) is held at a time.
     """
     L = net.spec.depth
-    grads: list[np.ndarray | None] = [None] * (L + 1)
-    deltas: list[np.ndarray | None] = [None] * (L + 1)
+    grads = layer_views(net.spec.widths, np.empty_like(net.flat)) if ws is None else ws.grads
     delta = dlogits
-    deltas[L] = delta
-    grads[L] = delta.T @ trace.activations[L]
+    np.matmul(delta.T, trace.activations[L], out=grads[L])
     for l in range(L - 1, -1, -1):
-        delta = (delta @ net.weights[l + 1]) * (trace.activations[l + 1] > 0.0)
-        deltas[l] = delta
-        grads[l] = delta.T @ trace.activations[l]
-    return grads, deltas
+        delta = np.matmul(delta, net.weights[l + 1], out=None if ws is None else ws.deltas[l])
+        # multiply, not select: a negative delta masked to 0 stays -0.0
+        np.multiply(delta, np.greater(trace.activations[l + 1], 0.0,
+                                      out=None if ws is None else ws.masks[l]), out=delta)
+        np.matmul(delta.T, trace.activations[l], out=grads[l])
+    return grads
 
 
-def loss_and_backward(net: DenseNet, trace: ForwardTrace,
-                      labels: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def loss_and_backward(net: DenseNet, trace: ForwardTrace, labels: np.ndarray,
+                      ws: Workspace | None = None) -> tuple[float, list[np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its weight gradients."""
     labels = np.asarray(labels)
     n, n_classes = trace.logits.shape
@@ -178,19 +247,7 @@ def loss_and_backward(net: DenseNet, trace: ForwardTrace,
     loss = float(-np.mean(np.log(dlogits[np.arange(n), labels] + 1e-300)))
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grads, _ = _backward(net, trace, dlogits)
-    return loss, grads
-
-
-def error_signals(net: DenseNet, trace: ForwardTrace, labels: np.ndarray) -> list[np.ndarray]:
-    """Per-layer error signals delta^(l) of the cross-entropy loss, l = 1..L+1."""
-    labels = np.asarray(labels)
-    n = trace.logits.shape[0]
-    dlogits = softmax(trace.logits)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    _, deltas = _backward(net, trace, dlogits)
-    return deltas
+    return loss, _backward(net, trace, dlogits, ws)
 
 
 def logit_gradient(net: DenseNet, batch: np.ndarray,
@@ -207,25 +264,35 @@ def logit_gradient(net: DenseNet, batch: np.ndarray,
         raise ValueError(f"class index out of range [0, {n_classes})")
     dlogits = np.zeros_like(trace.logits)
     dlogits[np.arange(n), class_indices] = 1.0 / n
-    grads, _ = _backward(net, trace, dlogits)
-    return grads
+    return _backward(net, trace, dlogits)
 
 
-def sgd_step(net: DenseNet, grads: list[np.ndarray], state: OptimizerState) -> None:
+def sgd_step(net: DenseNet, grad: np.ndarray, state: OptimizerState) -> None:
     """One SGD step with momentum and weight decay, in place.
 
     buffer <- momentum * buffer + (grad + wd * weight)
     weight <- weight - lr * buffer
 
-    A non-finite gradient raises DivergenceError before any weight moves.
+    ``grad`` is flat, laid out like ``net.flat``. One blocked pass applies the
+    update with the rounding of the per-layer expressions above. A non-finite
+    gradient raises DivergenceError before any weight moves.
     """
-    for l, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient entries in layer {l + 1}")
-    for w, g, buf in zip(net.weights, grads, state.momentum_buffers):
-        buf *= state.momentum
-        buf += g + state.weight_decay * w
-        w -= state.lr * buf
+    # min and max propagate NaN and reach any inf, without a mask the size of grad
+    if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+        for l, g in enumerate(layer_views(net.spec.widths, grad)):
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient entries in layer {l + 1}")
+    w, buf, t = net.flat, state.buffer, state.scratch
+    for start in range(0, w.size, SGD_BLOCK):
+        stop = start + SGD_BLOCK
+        wb, bb = w[start:stop], buf[start:stop]
+        tb = t[:wb.size]
+        bb *= state.momentum
+        np.multiply(state.weight_decay, wb, out=tb)
+        tb += grad[start:stop]
+        bb += tb
+        np.multiply(state.lr, bb, out=tb)
+        wb -= tb
 
 
 class PowerIterResult(NamedTuple):

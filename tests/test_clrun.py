@@ -165,10 +165,10 @@ class TestRunScenario:
         calls = []
         original = clrun.forward
 
-        def counting(net, batch):  # the eval sets reach forward as capped views
+        def counting(net, batch, **kw):  # the eval sets reach forward as capped views
             if any(np.shares_memory(batch, images) for images in eval_images):
                 calls.append(batch)
-            return original(net, batch)
+            return original(net, batch, **kw)
 
         monkeypatch.setattr(clrun, "forward", counting)
         rec = self.run(scenario=scenario)
@@ -261,8 +261,8 @@ class TestDivergenceGuard:
         # a finite loss with a NaN gradient takes the same path as a NaN loss
         original = clrun.loss_and_backward
 
-        def nan_grads(net, trace, labels):
-            loss, grads = original(net, trace, labels)
+        def nan_grads(net, trace, labels, **kw):
+            loss, grads = original(net, trace, labels, **kw)
             grads[0][0, 0] = np.nan
             return loss, grads
 

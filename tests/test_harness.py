@@ -379,6 +379,17 @@ class TestCli:
         assert adopted in err and str(other) in err
         assert open(adopted).read() == manifest.read_text()
 
+        # a run refused for its config leaves no manifest behind, as after a
+        # run that failed before adopting one; the matching manifest still resumes
+        os.remove(adopted)
+        records = open(os.path.join(out_dir, "records.jsonl"), "rb").read()
+        assert cli_main(run[:-1] + ["--seed", "5", "--pool", str(other)]) == 2
+        assert "changed: seeds" in capsys.readouterr().err
+        assert not os.path.exists(adopted)
+        assert cli_main(run + [str(manifest)]) == 0
+        assert open(adopted).read() == manifest.read_text()
+        assert open(os.path.join(out_dir, "records.jsonl"), "rb").read() == records
+
 
 class TestAggregation:
     def test_shift_is_mean_of_exactly_three_seed_records(self, data_root):

@@ -2,30 +2,99 @@
 
 Gradient correctness is checked against central finite differences; the
 spectral norm against a hand-rolled Jacobi eigensolver; initialization
-statistics against sample-moment bounds.
+statistics against sample-moment bounds; the flat-parameter training step
+bit for bit against the list-based reference functions below.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adslab import clrun
+from adslab.clrun import TrainConfig, train_task
+from adslab.datasets import Dataset
 from adslab.nncore import (
     ArchitectureSpec,
     DenseNet,
     DivergenceError,
+    Workspace,
     arch_diagnostics,
-    error_signals,
     forward,
     init_network,
     init_optimizer,
+    layer_views,
     logit_gradient,
     loss_and_backward,
     sgd_step,
     spectral_norm,
 )
+from adslab.stats import softmax
 
 
 def small_spec(widths, tag="random"):
     return ArchitectureSpec(depth=len(widths) - 2, widths=tuple(widths), topology_tag=tag)
+
+
+def net_of(spec, matrices):
+    """A net holding these weight matrices."""
+    return DenseNet(spec, np.concatenate([np.asarray(m, dtype=np.float64).ravel()
+                                          for m in matrices]))
+
+
+# ---------------------------------------------------------------------------
+# list-based reference engine: one new array per layer and per operation
+# ---------------------------------------------------------------------------
+
+def ref_forward(weights, batch):
+    activations = [batch]
+    a = batch
+    for w in weights[:-1]:
+        a = np.maximum(a @ w.T, 0.0)
+        activations.append(a)
+    return activations, a @ weights[-1].T
+
+
+def ref_backward(weights, activations, dlogits):
+    """Weight gradients and every error signal delta^(l), l = 1..L+1."""
+    L = len(weights) - 1
+    grads = [None] * (L + 1)
+    deltas = [None] * (L + 1)
+    delta = dlogits
+    deltas[L] = delta
+    grads[L] = delta.T @ activations[L]
+    for l in range(L - 1, -1, -1):
+        delta = (delta @ weights[l + 1]) * (activations[l + 1] > 0.0)
+        deltas[l] = delta
+        grads[l] = delta.T @ activations[l]
+    return grads, deltas
+
+
+def ref_dloss(logits, labels):
+    """Mean cross-entropy and its gradient with respect to the logits."""
+    n = logits.shape[0]
+    dlogits = softmax(logits)
+    loss = float(-np.mean(np.log(dlogits[np.arange(n), labels] + 1e-300)))
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+def ref_sgd_step(weights, grads, buffers, lr, momentum, weight_decay):
+    for l, g in enumerate(grads):
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient entries in layer {l + 1}")
+    for w, g, buf in zip(weights, grads, buffers):
+        buf *= momentum
+        buf += g + weight_decay * w
+        w -= lr * buf
+
+
+def error_signals(net, labels, x):
+    """Per-layer error signals delta^(l) of the cross-entropy loss, l = 1..L+1."""
+    activations, logits = ref_forward(net.weights, x)
+    _, dlogits = ref_dloss(logits, labels)
+    return ref_backward(net.weights, activations, dlogits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +175,7 @@ class TestForward:
     def test_hand_computed_single_layer(self):
         # all-ones weights, input [1, 1]: z = 2, a = 2, logit = 2
         spec = small_spec([2, 1, 1])
-        net = DenseNet(spec, [np.ones((1, 2)), np.ones((1, 1))])
+        net = net_of(spec, [np.ones((1, 2)), np.ones((1, 1))])
         trace = forward(net, np.array([[1.0, 1.0]]))
         assert trace.activations[1][0, 0] == 2.0
         assert trace.logits[0, 0] == 2.0
@@ -166,7 +235,7 @@ def rel_err(a, b):
 class TestLossAndBackward:
     def test_uniform_logits_loss_is_log_c(self):
         spec = small_spec([3, 4, 5])
-        net = DenseNet(spec, [np.zeros((4, 3)), np.zeros((5, 4))])
+        net = net_of(spec, [np.zeros((4, 3)), np.zeros((5, 4))])
         x = np.random.default_rng(0).standard_normal((7, 3))
         trace = forward(net, x)
         loss, _ = loss_and_backward(net, trace, np.array([0, 1, 2, 3, 4, 0, 1]))
@@ -270,21 +339,17 @@ class TestLogitGradient:
 class TestSgdStep:
     def test_plain_sgd(self):
         net = init_network(small_spec([2, 3, 2]), seed=0)
-        before = [w.copy() for w in net.weights]
-        grads_mats = [np.ones_like(w) for w in net.weights]
+        before = net.flat.copy()
         state = init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(net, grads_mats, state)
-        for b, w in zip(before, net.weights):
-            np.testing.assert_allclose(w, b - 0.1, rtol=0, atol=1e-15)
+        sgd_step(net, np.ones_like(net.flat), state)
+        np.testing.assert_allclose(net.flat, before - 0.1, rtol=0, atol=1e-15)
 
     def test_zero_grad_fixed_point(self):
         net = init_network(small_spec([2, 3, 2]), seed=0)
-        before = [w.copy() for w in net.weights]
-        zero = [np.zeros_like(w) for w in net.weights]
+        before = net.flat.copy()
         state = init_optimizer(net, lr=0.5, momentum=0.9, weight_decay=0.0)
-        sgd_step(net, zero, state)
-        for b, w in zip(before, net.weights):
-            assert np.array_equal(b, w)
+        sgd_step(net, np.zeros_like(net.flat), state)
+        assert np.array_equal(before, net.flat)
 
     def test_momentum_matches_scalar_recurrence(self):
         # 1x1 weight, hand-unrolled: b1 = g1 + wd*w0; w1 = w0 - lr*b1;
@@ -292,11 +357,10 @@ class TestSgdStep:
         spec = ArchitectureSpec(depth=1, widths=(1, 1, 1))
         w0, g1, g2 = 0.7, 0.3, -0.2
         lr, m, wd = 0.05, 0.9, 0.01
-        net = DenseNet(spec, [np.array([[w0]]), np.array([[1.0]])])
+        net = net_of(spec, [[[w0]], [[1.0]]])
         state = init_optimizer(net, lr=lr, momentum=m, weight_decay=wd)
-        zero_out = np.zeros((1, 1))
-        sgd_step(net, [np.array([[g1]]), zero_out.copy()], state)
-        sgd_step(net, [np.array([[g2]]), zero_out.copy()], state)
+        sgd_step(net, np.array([g1, 0.0]), state)
+        sgd_step(net, np.array([g2, 0.0]), state)
         b1 = g1 + wd * w0
         w1 = w0 - lr * b1
         b2 = m * b1 + g2 + wd * w1
@@ -304,15 +368,129 @@ class TestSgdStep:
         assert abs(net.weights[0][0, 0] - w2) < 1e-12
 
     def test_nonfinite_gradient_names_layer(self):
-        net = init_network(small_spec([2, 3, 2]), seed=0)
-        before = [w.copy() for w in net.weights]
-        bad = [np.zeros_like(w) for w in net.weights]
-        bad[1][0, 0] = np.nan
-        state = init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
-        with pytest.raises(DivergenceError, match="layer 2"):
-            sgd_step(net, bad, state)
-        for b, w in zip(before, net.weights):
-            assert np.array_equal(b, w)
+        net = init_network(small_spec([2, 3, 4, 2]), seed=0)
+        state = init_optimizer(net, lr=0.1, momentum=0.9, weight_decay=1e-2)
+        sgd_step(net, np.ones_like(net.flat), state)  # a nonzero momentum to protect
+        weights, momentum = net.flat.copy(), state.buffer.copy()
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros_like(net.flat)
+            layer_views(net.spec.widths, bad)[1][2, 1] = bad_value
+            with pytest.raises(DivergenceError, match="layer 2"):
+                sgd_step(net, bad, state)
+            assert np.array_equal(net.flat, weights)
+            assert np.array_equal(state.buffer, momentum)
+
+
+# ---------------------------------------------------------------------------
+# flat parameters and step workspaces
+# ---------------------------------------------------------------------------
+
+def test_copy_is_independent():
+    net = init_network(small_spec([5, 7, 3]), seed=0)
+    before = net.flat.copy()
+    twin = net.copy()
+    twin.weights[0][0, 0] += 1.0
+    twin.weights[-1][...] = 0.0
+    assert np.array_equal(net.flat, before)
+    assert not np.shares_memory(twin.flat, net.flat)
+    assert all(np.shares_memory(w, twin.flat) for w in twin.weights)
+
+
+class _StepCapture:
+    """Recorder stand-in: copies the gradients, weights and momentum after every step."""
+
+    def __init__(self, state):
+        self.state = state
+        self.steps = []
+
+    def after_step(self, net, grads):
+        self.steps.append(([g.copy() for g in grads], net.flat.copy(), self.state.buffer.copy()))
+
+
+def ref_train(weights, dataset, cfg, seed):
+    """Today's list-based training loop with train_task's batching."""
+    rng = np.random.default_rng(seed)
+    buffers = [np.zeros_like(w) for w in weights]
+    n = len(dataset)
+    out = []
+    while len(out) < cfg.steps_per_task:
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            if len(out) >= cfg.steps_per_task:
+                break
+            idx = order[start:start + cfg.batch_size]
+            activations, logits = ref_forward(weights, dataset.images[idx])
+            loss, dlogits = ref_dloss(logits, dataset.labels[idx])
+            grads, _ = ref_backward(weights, activations, dlogits)
+            ref_sgd_step(weights, grads, buffers, cfg.lr, cfg.momentum, cfg.weight_decay)
+            out.append((loss, grads, [w.copy() for w in weights], [b.copy() for b in buffers]))
+    return out
+
+
+@pytest.mark.parametrize("widths", [
+    (20, 300, 40, 5),                    # more weights than one SGD block
+    (20, 64, 16, 96, 8, 5),
+    (20,) + (64,) * 10 + (5,),           # depth 10
+])
+def test_training_steps_bit_identical_to_list_reference(widths, monkeypatch):
+    # 97 rows in batches of 32: every fourth step is a partial batch of one row
+    rng = np.random.default_rng(17)
+    labels = rng.integers(0, 5, size=97)
+    images = rng.standard_normal((97, 20)) + np.eye(5, 20)[labels] * 2.0
+    dataset = Dataset("toy", images, labels, "train")
+    cfg = TrainConfig(steps_per_task=27, batch_size=32, lr=0.05, momentum=0.9,
+                      weight_decay=5e-4)
+    spec = small_spec(widths)
+    net = init_network(spec, seed=3)
+    expected = ref_train([w.copy() for w in net.weights], dataset, cfg, seed=11)
+
+    losses = []
+    original = clrun.loss_and_backward
+
+    def capture_loss(*args, **kw):
+        loss, grads = original(*args, **kw)
+        losses.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(clrun, "loss_and_backward", capture_loss)
+    state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
+    capture = _StepCapture(state)
+    train_task(net, state, dataset, cfg, seed=11, recorder=capture)
+
+    # compared as bytes, so that a zero of the other sign also fails
+    assert len(capture.steps) == len(expected) == 27
+    for loss, (ref_loss, ref_grads, ref_weights, ref_buffers), (grads, flat, buf) in zip(
+            losses, expected, capture.steps):
+        assert loss == ref_loss
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.tobytes() == ref_g.tobytes()
+        assert flat.tobytes() == b"".join(w.tobytes() for w in ref_weights)
+        assert buf.tobytes() == b"".join(b.tobytes() for b in ref_buffers)
+
+
+def test_training_step_allocates_under_one_percent_of_weights():
+    spec = small_spec([784] + [512] * 5 + [10])
+    net = init_network(spec, seed=0)
+    state = init_optimizer(net, lr=1e-3, momentum=0.9, weight_decay=5e-4)
+    ws = Workspace(spec, 128)
+    rng = np.random.default_rng(0)
+    ws.batch[...] = rng.standard_normal(ws.batch.shape)
+    labels = rng.integers(0, 10, size=128)
+
+    def step():
+        trace = forward(net, ws.batch, ws=ws)
+        loss_and_backward(net, trace, labels, ws=ws)
+        sgd_step(net, ws.grad, state)
+
+    step()  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated < 0.01 * net.flat.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +567,8 @@ def test_error_signal_energy_stable_across_layers():
         rng = np.random.default_rng(1000 + seed)
         net = init_network(small_spec([256, 256, 256, 256, 10]), seed=seed)
         x = rng.standard_normal((8, 256))
-        trace = forward(net, x)
         labels = rng.integers(0, 10, size=8)
-        deltas = error_signals(net, trace, labels)
+        deltas = error_signals(net, labels, x)
         # hidden deltas: indices 0..L-1
         e = [np.sum(d**2) for d in deltas[:-1]]
         ratios.append([e[i] / e[i + 1] for i in range(len(e) - 1)])

@@ -1,22 +1,30 @@
-"""The benchmark's trace points resolve in the program.
+"""The benchmark's trace points resolve in the program, and fire.
 
 ``perfbench/spans.py`` wraps each traced function at the module attribute
 its callers look it up by. A rename there would not fail the benchmark;
 it would silently drop the function's spans from ``--trace 1``. So every
 ``TRACE_POINTS`` entry is resolved here exactly as ``Tracer.install``
-resolves it.
+resolves it, and one small run is traced to count the spans that the
+per-step metrics are made from.
 """
 
 import importlib
 import os
 import runpy
 
+import numpy as np
 import pytest
+
+from adslab import harness
+from adslab.clrun import TrainConfig
+from adslab.datasets import Dataset, Scenario, ScenarioSpec
+from adslab.nncore import ArchitectureSpec
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
 
 
-TRACE_POINTS = runpy.run_path(SPANS_PATH)["TRACE_POINTS"]
+SPANS = runpy.run_path(SPANS_PATH)
+TRACE_POINTS = SPANS["TRACE_POINTS"]
 
 
 @pytest.mark.parametrize("module_name,attr", [(m, a) for m, a, _, _ in TRACE_POINTS])
@@ -27,3 +35,37 @@ def test_trace_point_resolves(module_name, attr):
         owner = getattr(owner, part)
     assert leaf in owner.__dict__, f"{module_name}.{attr} is not defined where it is traced"
     assert callable(owner.__dict__[leaf])
+
+
+def test_trace_points_fire_in_a_run():
+    # resolving is not enough: the step, evaluation and copy spans must also
+    # be recorded, or the benchmark's per-step metrics read 0 without an error
+    rng = np.random.default_rng(0)
+
+    def blobs(n):
+        labels = rng.integers(0, 3, size=n)
+        return Dataset("toy", rng.standard_normal((n, 12)) + 2.0 * np.eye(3, 12)[labels],
+                       labels, "train")
+
+    scenario = Scenario(ScenarioSpec("toy_sc", "transfer", src="a", dst="b"), blobs(200),
+                        blobs(50), blobs(200), blobs(30), blobs(50), n_classes=3, seed=0)
+    arch = ArchitectureSpec(depth=2, widths=(12, 32, 24, 3), topology_tag="random")
+    cfg = TrainConfig(steps_per_task=7, batch_size=64, lr=1e-2, seed=0)
+    tracer = SPANS["Tracer"]()
+    tracer.install()
+    try:
+        record = harness.run_scenario(arch, scenario, cfg, arch_id="a0")
+    finally:
+        tracer.uninstall()
+    assert record.valid
+    by_id = {s.sid: s for s in tracer.spans}
+
+    def under(name, parent):
+        return sum(1 for s in tracer.spans
+                   if s.name == name and by_id[s.parent].name == parent)
+
+    n_sgd = sum(1 for s in tracer.spans if s.name == "nncore.sgd_step")
+    assert n_sgd == under("nncore.forward", "clrun.train_task") == 2 * cfg.steps_per_task
+    assert under("nncore.loss_and_backward", "clrun.train_task") == 2 * cfg.steps_per_task
+    assert under("nncore.forward", "clrun.evaluate") == 3
+    assert sum(1 for s in tracer.spans if s.name == "nncore.copy") == 1
