@@ -64,10 +64,6 @@ class PoolConfig:
 # per-category shape predicates (non-strict monotonicity)
 # ---------------------------------------------------------------------------
 
-def is_uniform(widths) -> bool:
-    return len(set(widths)) == 1
-
-
 def is_increasing(widths) -> bool:
     return all(a <= b for a, b in zip(widths, widths[1:]))
 

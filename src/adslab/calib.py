@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,32 +161,42 @@ def calibrate_params(calib_runs: list[RunRecord], source: str = "",
 # parameter profiles on disk
 # ---------------------------------------------------------------------------
 
+# (section, key) of every CalibrationParams field in a profile file, in file order
+PROFILE_KEYS = {
+    "alpha": ("params", "alpha"), "beta": ("params", "beta"),
+    "b": ("params", "b"), "c": ("params", "c"),
+    "fit_r2_width": ("fit", "r2_width"), "fit_r2_depth": ("fit", "r2_depth"),
+    "n_layer_records": ("fit", "n_layer_records"),
+    "source": ("provenance", "source"), "params_id": ("provenance", "params_id"),
+}
+
+
 def save_profile(params: CalibrationParams, path) -> None:
+    sections: dict = {}
+    for name, (section, key) in PROFILE_KEYS.items():
+        sections.setdefault(section, {})[key] = str(getattr(params, name))
     cp = configparser.ConfigParser(interpolation=None)
-    cp["params"] = {k: repr(getattr(params, k)) for k in ("alpha", "beta", "b", "c")}
-    cp["fit"] = {
-        "r2_width": repr(params.fit_r2_width),
-        "r2_depth": repr(params.fit_r2_depth),
-        "n_layer_records": str(params.n_layer_records),
-    }
-    cp["provenance"] = {"source": params.source, "params_id": params.params_id}
+    cp.read_dict(sections)
     with open(path, "w") as fh:
         cp.write(fh)
 
 
 def load_profile(path) -> CalibrationParams:
+    """The profile in an INI file; a bad file or value raises ValueError naming the file."""
     cp = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        cp.read_string(fh.read())
-    return CalibrationParams(
-        alpha=float(cp["params"]["alpha"]),
-        beta=float(cp["params"]["beta"]),
-        b=float(cp["params"]["b"]),
-        c=float(cp["params"]["c"]),
-        fit_r2_width=float(cp["fit"]["r2_width"]),
-        fit_r2_depth=float(cp["fit"]["r2_depth"]),
-        n_layer_records=int(cp["fit"]["n_layer_records"]),
-        source=cp["provenance"].get("source", ""),
-        params_id=cp["provenance"].get("params_id", "params"),
-    )
-
+        text = fh.read()
+    hints = typing.get_type_hints(CalibrationParams)
+    values = {}
+    try:
+        cp.read_string(text)
+        for name, (section, key) in PROFILE_KEYS.items():
+            if not cp.has_option(section, key):
+                raise ValueError(f"missing key {key!r} in section [{section}]")
+            try:
+                values[name] = hints[name](cp[section][key])
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
+        return CalibrationParams(**values)
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

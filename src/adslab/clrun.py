@@ -69,16 +69,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps_per_task < 1:
-            raise ValueError("steps_per_task must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
-        if self.path_segments < 1:
-            raise ValueError("path_segments must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("steps_per_task", "batch_size", "trace_every", "path_segments"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -234,15 +229,17 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
     """Run ``cfg.steps_per_task`` minibatch SGD steps, shuffled by ``seed``;
     mutates net/state in place.
 
-    Every step runs in one preallocated workspace; an epoch's short last
-    batch uses its leading rows. Returns (net, state, stats_dict). A
-    non-finite loss or gradient raises DivergenceError so the caller can
-    flag the run instead of crashing a whole pool.
+    Every step runs in one preallocated batch buffer and workspace; an
+    epoch's short last batch uses their leading rows. Returns (net, state,
+    stats_dict). A non-finite loss or gradient raises DivergenceError so the
+    caller can flag the run instead of crashing a whole pool.
     """
     rng = np.random.default_rng(seed)
     n = len(dataset)
-    full = Workspace(net.spec, min(cfg.batch_size, n))
-    last = full.head(n % cfg.batch_size or full.rows)
+    rows = min(cfg.batch_size, n)
+    full = Workspace(net.spec, rows)
+    last = full.head(n % cfg.batch_size or rows)
+    batches = np.empty((rows, net.spec.input_dim))
     losses = []
     done = 0
     while done < cfg.steps_per_task:
@@ -251,12 +248,11 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
             if done >= cfg.steps_per_task:
                 break
             idx = order[start:start + cfg.batch_size]
-            ws = full if len(idx) == full.rows else last
-            # idx is in range, and "clip" lets take write into ws.batch unbuffered
-            batch = np.take(dataset.images, idx, axis=0, out=ws.batch, mode="clip")
-            labels = dataset.labels[idx]
-            trace = forward(net, batch, ws=ws)
-            loss, grads = loss_and_backward(net, trace, labels, ws=ws)
+            ws = full if len(idx) == rows else last
+            # idx is in range, and "clip" lets take write into the buffer unbuffered
+            batch = np.take(dataset.images, idx, axis=0, out=batches[:len(idx)], mode="clip")
+            forward(net, batch, ws=ws)
+            loss, grads = loss_and_backward(net, ws, dataset.labels[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {done}")
             sgd_step(net, ws.grad, state)
@@ -264,11 +260,9 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
                 recorder.after_step(net, grads)
             losses.append(loss)
             done += 1
-    return net, state, {
-        "n_steps": done,
-        "final_loss": losses[-1] if losses else float("nan"),
-        "mean_loss": float(np.mean(losses)) if losses else float("nan"),
-    }
+    # TrainConfig and Dataset are never empty, so there is at least one step
+    return net, state, {"n_steps": done, "final_loss": losses[-1],
+                        "mean_loss": float(np.mean(losses))}
 
 
 def measure_logit_shift(f_t: np.ndarray, f_t1: np.ndarray) -> float:
@@ -280,14 +274,12 @@ def measure_logit_shift(f_t: np.ndarray, f_t1: np.ndarray) -> float:
 
 def compute_gold(net: DenseNet, calib_subset: Dataset) -> list[np.ndarray]:
     """Old-task sensitivity: true-class logit gradient averaged over the subset."""
-    if len(calib_subset) == 0:
-        raise ValueError("empty calibration subset")
     return logit_gradient(net, calib_subset.images, calib_subset.labels)
 
 
 def evaluate(net: DenseNet, ds: Dataset) -> tuple[float, float, np.ndarray]:
     """(accuracy, ECE, logits) of the net on a dataset."""
-    logits = forward(net, ds.images).logits
+    logits = forward(net, ds.images)
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
     return acc, stats.ece_of_logits(logits, ds.labels), logits
 

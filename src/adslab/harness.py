@@ -61,17 +61,25 @@ class ExperimentConfig:
     calib_fractions: tuple[float, ...] = ()  # defaults to each scenario's calib_fraction
     transfer_profile: str = ""       # load this profile id instead of calibrating
     profiles_dir: str = ""           # defaults to <out_dir>/params
-    n_perm: int = 999
-    n_boot: int = 1000
+    n_perm: int = stats.MIN_PERM
+    n_boot: int = stats.MIN_BOOT
     baseline_perms: int = 200
 
     def __post_init__(self):
+        """Refuse every value a later stage would refuse, before any of it is saved."""
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        train_config(self, steps=1, seed=0)  # TrainConfig's own checks of the shared fields
+        for name, value, least in (("seeds", min(self.seeds), 0), ("pool seed", self.pool.seed, 0),
+                                   ("workers", self.workers, 1), ("eval_cap", self.eval_cap, 1),
+                                   ("n_perm", self.n_perm, stats.MIN_PERM),
+                                   ("n_boot", self.n_boot, stats.MIN_BOOT)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not all(0.0 < f <= 1.0 for f in self.calib_fractions):
+            raise ValueError(f"calib fractions must be in (0, 1], got {self.calib_fractions}")
 
     def resolved_data_root(self) -> str:
         return os.environ.get(ENV_DATA_ROOT, self.data_root)
@@ -144,12 +152,15 @@ INI_KEYS = {
 }
 
 
-def _parse(tp, text: str):
+def _parse(section: str, key: str, tp, text: str):
     """INI text to a value of the annotated field type (int, float, str or a tuple of one)."""
-    if typing.get_origin(tp) is tuple:
-        item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
-        return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
-    return tp(text)
+    try:
+        if typing.get_origin(tp) is tuple:
+            item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
+            return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
+        return tp(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
 
 
 def _parse_section(section: str, items: dict, names: dict, hints: dict) -> dict:
@@ -158,41 +169,46 @@ def _parse_section(section: str, items: dict, names: dict, hints: dict) -> dict:
     for key, text in items.items():
         if key not in names:
             raise ValueError(f"unknown key {key!r} in section [{section}]")
-        values[names[key]] = _parse(hints[names[key]], text)
+        values[names[key]] = _parse(section, key, hints[names[key]], text)
     return values
 
 
 def load_config(path) -> ExperimentConfig:
-    cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    """The config in an INI file; a bad file or value raises ValueError naming the file."""
     hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(PoolConfig)
     spec_hints = typing.get_type_hints(ScenarioSpec)
     spec_keys = {name: name for name in spec_hints if name != "scenario_id"}
     values, scenarios = {}, []
-    for section in cp.sections():
-        items = dict(cp[section])
-        if section.startswith("scenario"):
-            sid = section.split(None, 1)[1] if " " in section else section
-            spec_values = _parse_section(section, items, spec_keys, spec_hints)
-            try:
-                scenarios.append(ScenarioSpec(sid, **spec_values))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"[{section}]: {exc}") from None
-            continue
-        if section == "pool":
-            if "per_category" in items:
-                values["per_category_counts"] = _category_counts(int(items.pop("per_category")))
-            counts = {k[len("count_"):]: int(items.pop(k))
-                      for k in list(items) if k.startswith("count_")}
-            if counts:
-                values["per_category_counts"] = counts
-        names = {key: name for name, (sec, key) in INI_KEYS.items() if sec == section}
-        values |= _parse_section(section, items, names, hints)
-    pool_names = {f.name for f in fields(PoolConfig)}
-    pool = PoolConfig(**{k: v for k, v in values.items() if k in pool_names})
-    return ExperimentConfig(scenarios=scenarios, pool=pool,
-                            **{k: v for k, v in values.items() if k not in pool_names})
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        for section in cp.sections():
+            items = dict(cp[section])
+            if section.startswith("scenario"):
+                sid = section.split(None, 1)[1] if " " in section else section
+                spec_values = _parse_section(section, items, spec_keys, spec_hints)
+                try:
+                    scenarios.append(ScenarioSpec(sid, **spec_values))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"[{section}]: {exc}") from None
+                continue
+            if section == "pool":
+                if "per_category" in items:
+                    values["per_category_counts"] = _category_counts(
+                        _parse(section, "per_category", int, items.pop("per_category")))
+                counts = {k[len("count_"):]: _parse(section, k, int, items.pop(k))
+                          for k in list(items) if k.startswith("count_")}
+                if counts:
+                    values["per_category_counts"] = counts
+            names = {key: name for name, (sec, key) in INI_KEYS.items() if sec == section}
+            values |= _parse_section(section, items, names, hints)
+        pool_names = {f.name for f in fields(PoolConfig)}
+        pool = PoolConfig(**{k: v for k, v in values.items() if k in pool_names})
+        return ExperimentConfig(scenarios=scenarios, pool=pool,
+                                **{k: v for k, v in values.items() if k not in pool_names})
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -491,8 +507,6 @@ def _fmt(x) -> str:
         return ",".join(map(_fmt, x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 

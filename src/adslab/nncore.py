@@ -122,9 +122,7 @@ class OptimizerState:
     weight_decay: float
     scratch: np.ndarray = field(init=False, repr=False)  # one SGD block's temporary
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+    def __post_init__(self):  # lr and the other settings are checked by TrainConfig
         self.scratch = np.empty(min(SGD_BLOCK, self.buffer.size))
 
 
@@ -133,44 +131,29 @@ def init_optimizer(net: DenseNet, lr: float, momentum: float,
     return OptimizerState(np.zeros_like(net.flat), lr, momentum, weight_decay)
 
 
-@dataclass
-class ForwardTrace:
-    """The activations of one forward pass (batch-first); the ReLU mask
-    z^(l) > 0 of a hidden layer is a^(l) > 0."""
-
-    activations: list[np.ndarray]    # a^(0)..a^(L); a^(0) is the input batch
-    logits: np.ndarray
-
-
 class Workspace:
-    """Buffers for the training steps of one net shape at one batch size.
+    """Buffers for the passes of one net shape at one row count, filled with ``out=``.
 
-    ``forward`` and ``loss_and_backward`` fill them with ``out=``, so a step
-    allocates nothing of the size of a layer. The ForwardTrace and the
-    gradients a workspace step returns are overwritten by the next step.
+    ``forward`` leaves a^(0..L) (a^(0) is its input, not a copy) and the
+    logits here for a backward pass. Backward holds one error signal at a
+    time, so two buffers hold them all and one the ReLU mask. The next pass
+    overwrites everything, the gradients included.
     """
 
     def __init__(self, spec: ArchitectureSpec, rows: int):
-        hidden = spec.hidden_widths
-        self.rows = rows
-        self.batch = np.empty((rows, spec.input_dim))
-        self.activations = [np.empty((rows, w)) for w in hidden]
+        size = rows * max(spec.hidden_widths)  # the widest hidden layer
+        self.activations = [None] + [np.empty((rows, w)) for w in spec.hidden_widths]
         self.logits = np.empty((rows, spec.output_dim))
-        self.deltas = [np.empty((rows, w)) for w in hidden]
-        self.masks = [np.empty((rows, w), dtype=bool) for w in hidden]
+        self.signals = (np.empty(size), np.empty(size))
+        self.mask = np.empty(size, dtype=bool)
         self.grad = np.empty(n_params(spec))
         self.grads = layer_views(spec.widths, self.grad)
 
     def head(self, rows: int) -> "Workspace":
-        """A workspace for a smaller batch: the first ``rows`` rows of every
-        row buffer, sharing this one's memory and gradient."""
+        """The leading ``rows`` rows of this workspace, sharing all its buffers."""
         ws = copy.copy(self)
-        ws.rows = rows
-        ws.batch = self.batch[:rows]
-        ws.activations = [a[:rows] for a in self.activations]
+        ws.activations = [None] + [a[:rows] for a in self.activations[1:]]
         ws.logits = self.logits[:rows]
-        ws.deltas = [d[:rows] for d in self.deltas]
-        ws.masks = [m[:rows] for m in self.masks]
         return ws
 
 
@@ -191,80 +174,81 @@ def init_network(spec: ArchitectureSpec, seed: int) -> DenseNet:
     return net
 
 
-def forward(net: DenseNet, batch: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
-    """Run the net on a (batch, features) matrix; ReLU on hidden layers only.
+def forward(net: DenseNet, batch: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """The logits of the net on a (batch, features) matrix; ReLU on hidden layers only.
 
-    With a workspace the activations and logits are written into its buffers.
+    With a workspace every activation is left in it for a backward pass;
+    without one only the current layer's activation is kept.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.spec.input_dim:
         raise ValueError(
             f"batch must be 2-d with {net.spec.input_dim} features, got shape {batch.shape}"
         )
-    activations = [batch]
     a = batch
+    if ws is not None:
+        ws.activations[0] = batch
     for l in range(net.spec.depth):
-        a = np.matmul(a, net.weights[l].T, out=None if ws is None else ws.activations[l])
+        a = np.matmul(a, net.weights[l].T, out=None if ws is None else ws.activations[l + 1])
         np.maximum(a, 0.0, out=a)
-        activations.append(a)
-    logits = np.matmul(a, net.weights[-1].T, out=None if ws is None else ws.logits)
-    return ForwardTrace(activations, logits)
+    return np.matmul(a, net.weights[-1].T, out=None if ws is None else ws.logits)
 
 
-def _backward(net: DenseNet, trace: ForwardTrace, dlogits: np.ndarray,
-              ws: Workspace | None = None) -> list[np.ndarray]:
-    """Backprop an output-side gradient through the net.
+def _backward(net: DenseNet, ws: Workspace, dlogits: np.ndarray) -> list[np.ndarray]:
+    """Backprop an output-side gradient through the pass ``forward`` left in ``ws``.
 
     Returns the per-layer weight gradients, shaped like ``net.weights``:
-    views of ``ws.grad``, or of a new flat vector without a workspace. Only
-    one error signal delta^(l) = dObjective/dz^(l) is held at a time.
+    views of ``ws.grad``. Only one error signal delta^(l) = dObjective/dz^(l)
+    is held at a time, in the leading entries of a workspace buffer.
     """
     L = net.spec.depth
-    grads = layer_views(net.spec.widths, np.empty_like(net.flat)) if ws is None else ws.grads
+    acts, grads = ws.activations, ws.grads
     delta = dlogits
-    np.matmul(delta.T, trace.activations[L], out=grads[L])
+    np.matmul(delta.T, acts[L], out=grads[L])
     for l in range(L - 1, -1, -1):
-        delta = np.matmul(delta, net.weights[l + 1], out=None if ws is None else ws.deltas[l])
+        a, size = acts[l + 1], acts[l + 1].size
+        delta = np.matmul(delta, net.weights[l + 1], out=ws.signals[l % 2][:size].reshape(a.shape))
         # multiply, not select: a negative delta masked to 0 stays -0.0
-        np.multiply(delta, np.greater(trace.activations[l + 1], 0.0,
-                                      out=None if ws is None else ws.masks[l]), out=delta)
-        np.matmul(delta.T, trace.activations[l], out=grads[l])
+        np.multiply(delta, np.greater(a, 0.0, out=ws.mask[:size].reshape(a.shape)), out=delta)
+        np.matmul(delta.T, acts[l], out=grads[l])
     return grads
 
 
-def loss_and_backward(net: DenseNet, trace: ForwardTrace, labels: np.ndarray,
-                      ws: Workspace | None = None) -> tuple[float, list[np.ndarray]]:
-    """Mean softmax cross-entropy over the batch and its weight gradients."""
+def _checked_labels(labels, logits: np.ndarray) -> np.ndarray:
+    """One class index per row of a non-empty batch, each in range."""
     labels = np.asarray(labels)
-    n, n_classes = trace.logits.shape
+    n, n_classes = logits.shape
     if n == 0:
         raise ValueError("empty batch")
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label out of range [0, {n_classes})")
-    dlogits = softmax(trace.logits)  # probabilities, made dLoss/dlogits in place below
+    return labels
+
+
+def loss_and_backward(net: DenseNet, ws: Workspace,
+                      labels: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Mean softmax cross-entropy of the pass in ``ws`` and its weight gradients."""
+    labels = _checked_labels(labels, ws.logits)
+    n = len(labels)
+    dlogits = softmax(ws.logits)  # probabilities, made dLoss/dlogits in place below
     loss = float(-np.mean(np.log(dlogits[np.arange(n), labels] + 1e-300)))
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    return loss, _backward(net, trace, dlogits, ws)
+    return loss, _backward(net, ws, dlogits)
 
 
 def logit_gradient(net: DenseNet, batch: np.ndarray,
                    class_indices: np.ndarray) -> list[np.ndarray]:
     """Gradient of the mean true-class logit over the batch (the g_old probe)."""
-    class_indices = np.asarray(class_indices)
-    trace = forward(net, batch)
-    n, n_classes = trace.logits.shape
-    if class_indices.shape != (n,):
-        raise ValueError(f"class_indices must have shape ({n},), got {class_indices.shape}")
-    if n == 0:
-        raise ValueError("empty batch")
-    if class_indices.min() < 0 or class_indices.max() >= n_classes:
-        raise ValueError(f"class index out of range [0, {n_classes})")
-    dlogits = np.zeros_like(trace.logits)
+    ws = Workspace(net.spec, len(batch))
+    logits = forward(net, batch, ws)
+    class_indices = _checked_labels(class_indices, logits)
+    n = len(class_indices)
+    dlogits = np.zeros_like(logits)
     dlogits[np.arange(n), class_indices] = 1.0 / n
-    return _backward(net, trace, dlogits)
+    return _backward(net, ws, dlogits)
 
 
 def sgd_step(net: DenseNet, grad: np.ndarray, state: OptimizerState) -> None:

@@ -20,6 +20,8 @@ import numpy as np
 
 ECE_BINS = 15
 CI_LEVEL = 0.95
+MIN_PERM = 999    # fewest permutations for a p-value
+MIN_BOOT = 1000   # fewest bootstrap resamples for an interval
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +108,8 @@ def perm_p_value(x, y, n_perm: int, seed: int) -> float:
     (1 + #{|r_perm| >= |r_obs|}) / (n_perm + 1), where each r_perm pairs the
     ranks of x with a permutation of the ranks of y: both are ranked once.
     """
-    if n_perm < 999:
-        raise ValueError("n_perm must be >= 999")
+    if n_perm < MIN_PERM:
+        raise ValueError(f"n_perm must be >= {MIN_PERM}")
     x, y = _paired(x, y, "perm_p_value", 3)
     rx, ry = rankdata(x), rankdata(y)
     obs = abs(_pearson(rx, ry))
@@ -126,8 +128,8 @@ def bootstrap_ci(proxy, shift, n_boot: int, seed: int) -> tuple[float, float]:
     these are sums of integers below 2**53, so exact under any BLAS
     blocking. Resamples whose pairs are all tied are skipped.
     """
-    if n_boot < 1000:
-        raise ValueError("n_boot must be >= 1000")
+    if n_boot < MIN_BOOT:
+        raise ValueError(f"n_boot must be >= {MIN_BOOT}")
     signs = _pair_signs(*_paired(proxy, shift, "bootstrap_ci", 2))
     agree = (signs > 0).astype(np.float64)
     disagree = (signs < 0).astype(np.float64)

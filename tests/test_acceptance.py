@@ -30,6 +30,7 @@ from adslab.harness import (
 )
 from adslab.nncore import (
     ArchitectureSpec,
+    Workspace,
     forward,
     init_network,
     logit_gradient,
@@ -159,7 +160,9 @@ def fd_grad(objective, net, eps=1e-5):
 def kink_free_net(widths, x, seed0, margin=1e-3):
     for s in range(seed0, seed0 + 60):
         net = init_network(ArchitectureSpec(len(widths) - 2, tuple(widths)), seed=s)
-        acts = forward(net, x).activations
+        ws = Workspace(net.spec, len(x))
+        forward(net, x, ws)
+        acts = ws.activations
         if min(np.abs(a @ w.T).min() for a, w in zip(acts, net.weights[:-1])) > margin:
             return net
     raise AssertionError("no kink-free net found")
@@ -176,12 +179,14 @@ def test_criterion_1_gradient_oracle():
         net = kink_free_net([6, 8, 7, 3], x, 1000 + 97 * i)
         assert sum(w.size for w in net.weights) <= 500
 
-        trace = forward(net, x)
-        _, grads = loss_and_backward(net, trace, labels)
+        ws = Workspace(net.spec, len(x))
+        forward(net, x, ws)
+        _, grads = loss_and_backward(net, ws, labels)
 
         def loss_obj(n):
-            t = forward(n, x)
-            val, _ = loss_and_backward(n, t, labels)
+            ws = Workspace(n.spec, len(x))
+            forward(n, x, ws)
+            val, _ = loss_and_backward(n, ws, labels)
             return val
 
         fd = fd_grad(loss_obj, net)
@@ -196,7 +201,7 @@ def test_criterion_1_gradient_oracle():
         grads2 = logit_gradient(net2, x, classes)
 
         def logit_obj(n):
-            logits = forward(n, x).logits
+            logits = forward(n, x)
             return float(np.mean(logits[np.arange(3), classes]))
 
         fd2 = fd_grad(logit_obj, net2)
@@ -223,11 +228,11 @@ def test_criterion_2_homogeneity_and_zero_input():
         depth = int(rng.integers(1, 5))
         widths = [int(rng.integers(3, 20)) for _ in range(depth + 2)]
         net = init_network(ArchitectureSpec(depth, tuple(widths)), seed=i)
-        zero_ok &= bool(np.all(forward(net, np.zeros((2, widths[0]))).logits == 0.0))
+        zero_ok &= bool(np.all(forward(net, np.zeros((2, widths[0]))) == 0.0))
         x = rng.standard_normal((3, widths[0]))
         c = float(rng.uniform(0.1, 10.0))
-        base = forward(net, x).logits
-        scaled = forward(net, c * x).logits
+        base = forward(net, x)
+        scaled = forward(net, c * x)
         denom = np.maximum(np.abs(c * base), 1e-300)
         worst = max(worst, float((np.abs(scaled - c * base) / denom).max()))
     criterion(2, "zero-input and positive-homogeneity invariants over 100 nets",

@@ -51,8 +51,12 @@ class TestGeneratePool:
     def test_category_predicates_hold(self):
         pool = generate_pool(pool_config(per_category=20, seed=3))
         for spec in pool:
-            holds = (spec.topology_tag == "random"
-                     or getattr(archpool, f"is_{spec.topology_tag}")(list(hidden(spec))))
+            widths = list(hidden(spec))
+            if spec.topology_tag == "uniform":  # drawn as one width: the program has no predicate
+                holds = len(set(widths)) == 1
+            else:
+                holds = (spec.topology_tag == "random"
+                         or getattr(archpool, f"is_{spec.topology_tag}")(widths))
             assert holds, (
                 spec.topology_tag, hidden(spec))
 

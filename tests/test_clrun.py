@@ -97,7 +97,7 @@ class TestTrainTask:
 
 class TestMeasureLogitShift:
     def test_identical_networks_zero(self):
-        logits = forward(init_network(ARCH, seed=3), toy_dataset(seed=1).images).logits
+        logits = forward(init_network(ARCH, seed=3), toy_dataset(seed=1).images)
         assert measure_logit_shift(logits, logits) == 0.0
 
     def test_scaled_head_gives_mean_logit_norm(self):
@@ -105,17 +105,17 @@ class TestMeasureLogitShift:
         ds = toy_dataset(seed=1)
         scaled = net.copy()
         scaled.weights[-1] *= 2.0
-        f_t = forward(net, ds.images).logits
+        f_t = forward(net, ds.images)
         expected = float(np.mean(np.linalg.norm(f_t, axis=1)))
-        shift = measure_logit_shift(f_t, forward(scaled, ds.images).logits)
+        shift = measure_logit_shift(f_t, forward(scaled, ds.images))
         assert shift == pytest.approx(expected, rel=1e-12)
 
     def test_hand_computed_three_samples(self):
         net_a = init_network(ARCH, seed=5)
         net_b = init_network(ARCH, seed=6)
         x = toy_dataset(n=3, seed=2).images
-        fa = forward(net_a, x).logits
-        fb = forward(net_b, x).logits
+        fa = forward(net_a, x)
+        fb = forward(net_b, x)
         expected = (np.linalg.norm(fb[0] - fa[0]) + np.linalg.norm(fb[1] - fa[1])
                     + np.linalg.norm(fb[2] - fa[2])) / 3
         assert measure_logit_shift(fa, fb) == pytest.approx(expected, abs=1e-12)
@@ -261,8 +261,8 @@ class TestDivergenceGuard:
         # a finite loss with a NaN gradient takes the same path as a NaN loss
         original = clrun.loss_and_backward
 
-        def nan_grads(net, trace, labels, **kw):
-            loss, grads = original(net, trace, labels, **kw)
+        def nan_grads(net, ws, labels):
+            loss, grads = original(net, ws, labels)
             grads[0][0, 0] = np.nan
             return loss, grads
 

@@ -1,5 +1,6 @@
 """Orchestration tests: config round-trips, resume, worker invariance, CLI."""
 
+import configparser
 import fcntl
 import os
 import re
@@ -328,6 +329,57 @@ class TestCli:
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1
+
+    def test_bad_config_value_refused_before_the_directory_is_written(self, tmp_path,
+                                                                        data_root, capsys):
+        # each of these used to be refused only after experiment.ini was saved,
+        # so the corrected config was then refused as a changed one
+        cfg = tiny_config(str(data_root), out_name="exp_bad_value", seeds=(0,))
+        good = tmp_path / "good.ini"
+        save_config(cfg, good)
+        bad_path = tmp_path / "bad.ini"
+        for section, key, bad in [("train", "lr", "0"), ("train", "batch_size", "0"),
+                                  ("stats", "n_perm", "10"), ("stats", "n_boot", "999"),
+                                  ("experiment", "eval_cap", "0"), ("calib", "fractions", "1.5"),
+                                  ("experiment", "seeds", "-1")]:
+            cp = configparser.ConfigParser(interpolation=None)
+            cp.read(good)
+            cp[section][key] = bad
+            with open(bad_path, "w") as fh:
+                cp.write(fh)
+            capsys.readouterr()
+            assert cli_main(["run", "--config", str(bad_path), "--quiet"]) == 2, key
+            err = capsys.readouterr().err
+            assert str(bad_path) in err and key in err, err
+            assert not os.path.exists(os.path.join(cfg.out_dir, "experiment.ini"))
+        assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("text,named", [
+        ("seeds = 0\n", "no section headers"),
+        ("[experiment]\nseeds = 0,x\n[scenario s]\nkind = rotated\ndataset = mnist\n",
+         "[experiment] seeds: invalid literal"),
+        ("[pool]\ncount_uniform = two\n[scenario s]\nkind = rotated\ndataset = mnist\n",
+         "[pool] count_uniform: invalid literal"),
+    ], ids=["no_section_header", "bad_seed", "bad_count"])
+    def test_config_read_error_names_the_file(self, tmp_path, capsys, text, named):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert cli_main(["gen-pool", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err, err
+
+    def test_profile_read_error_names_the_file(self, tmp_path, capsys):
+        from adslab.calib import CalibrationParams, save_profile
+        path = tmp_path / "p.profile"
+        save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50), path)
+        text = path.read_text()
+        path.write_text(re.sub(r"(?m)^beta = .*\n", "", text))
+        assert cli_main(["ads", "--params", str(path), "--widths", "784,256,10"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'beta' in section [params]" in err, err
+        path.write_text(text.replace("n_layer_records = 50", "n_layer_records = many"))
+        assert cli_main(["ads", "--params", str(path), "--widths", "784,256,10"]) == 2
+        assert "[fit] n_layer_records: invalid literal" in capsys.readouterr().err
 
     def test_correlate_insufficient_sample_exits_two(self, tmp_path, data_root, capsys):
         from adslab.calib import CalibrationParams, save_profile

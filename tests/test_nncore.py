@@ -90,6 +90,13 @@ def ref_sgd_step(weights, grads, buffers, lr, momentum, weight_decay):
         w -= lr * buf
 
 
+def traced(net, x):
+    """A workspace holding the forward pass of the net on x."""
+    ws = Workspace(net.spec, len(x))
+    forward(net, x, ws)
+    return ws
+
+
 def error_signals(net, labels, x):
     """Per-layer error signals delta^(l) of the cross-entropy loss, l = 1..L+1."""
     activations, logits = ref_forward(net.weights, x)
@@ -159,8 +166,8 @@ def test_arch_diagnostics_collects_problems():
 class TestForward:
     def test_zero_input_zero_logits(self):
         net = init_network(small_spec([6, 8, 4, 3]), seed=1)
-        trace = forward(net, np.zeros((5, 6)))
-        assert np.all(trace.logits == 0.0)
+        logits = forward(net, np.zeros((5, 6)))
+        assert np.all(logits == 0.0)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(0)
@@ -168,17 +175,17 @@ class TestForward:
             net = init_network(small_spec([6, 9, 5, 3]), seed=seed)
             x = rng.standard_normal((4, 6))
             c = float(rng.uniform(0.1, 10.0))
-            base = forward(net, x).logits
-            scaled = forward(net, c * x).logits
+            base = forward(net, x)
+            scaled = forward(net, c * x)
             np.testing.assert_allclose(scaled, c * base, rtol=1e-10, atol=1e-12)
 
     def test_hand_computed_single_layer(self):
         # all-ones weights, input [1, 1]: z = 2, a = 2, logit = 2
         spec = small_spec([2, 1, 1])
         net = net_of(spec, [np.ones((1, 2)), np.ones((1, 1))])
-        trace = forward(net, np.array([[1.0, 1.0]]))
-        assert trace.activations[1][0, 0] == 2.0
-        assert trace.logits[0, 0] == 2.0
+        ws = traced(net, np.array([[1.0, 1.0]]))
+        assert ws.activations[1][0, 0] == 2.0
+        assert ws.logits[0, 0] == 2.0
 
     def test_dimension_mismatch_rejected(self):
         net = init_network(small_spec([6, 8, 3]), seed=1)
@@ -187,9 +194,9 @@ class TestForward:
 
     def test_relu_applied_to_hidden_only(self):
         net = init_network(small_spec([4, 16, 3]), seed=5)
-        trace = forward(net, np.random.default_rng(2).standard_normal((8, 4)))
-        assert np.all(trace.activations[1] >= 0.0)
-        assert (trace.logits < 0).any()  # output layer keeps negative values
+        ws = traced(net, np.random.default_rng(2).standard_normal((8, 4)))
+        assert np.all(ws.activations[1] >= 0.0)
+        assert (ws.logits < 0).any()  # output layer keeps negative values
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +227,9 @@ def stable_test_net(widths, seed, x, margin=1e-3):
     """A net whose preactivations stay away from the ReLU kink on x."""
     for s in range(seed, seed + 50):
         net = init_network(small_spec(widths), seed=s)
-        trace = forward(net, x)
+        ws = traced(net, x)
         m = min(np.abs(a @ w.T).min()
-                for a, w in zip(trace.activations, net.weights[:-1]))
+                for a, w in zip(ws.activations, net.weights[:-1]))
         if m > margin:
             return net
     raise AssertionError("no kink-free net found")
@@ -237,8 +244,7 @@ class TestLossAndBackward:
         spec = small_spec([3, 4, 5])
         net = net_of(spec, [np.zeros((4, 3)), np.zeros((5, 4))])
         x = np.random.default_rng(0).standard_normal((7, 3))
-        trace = forward(net, x)
-        loss, _ = loss_and_backward(net, trace, np.array([0, 1, 2, 3, 4, 0, 1]))
+        loss, _ = loss_and_backward(net, traced(net, x), np.array([0, 1, 2, 3, 4, 0, 1]))
         assert abs(loss - np.log(5)) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -247,12 +253,10 @@ class TestLossAndBackward:
         labels = np.array([0, 2, 1, 2])
         net = stable_test_net([5, 8, 6, 3], 0, x)
 
-        trace = forward(net, x)
-        _, grads = loss_and_backward(net, trace, labels)
+        _, grads = loss_and_backward(net, traced(net, x), labels)
 
         def objective(n):
-            t = forward(n, x)
-            probs_loss, _ = loss_and_backward(n, t, labels)
+            probs_loss, _ = loss_and_backward(n, traced(n, x), labels)
             return probs_loss
 
         fd = fd_grad(objective, net)
@@ -264,26 +268,24 @@ class TestLossAndBackward:
         net = init_network(small_spec([5, 7, 4]), seed=9)
         x = rng.standard_normal((6, 5))
         labels = rng.integers(0, 4, size=6)
-        t1 = forward(net, x)
-        loss1, g1 = loss_and_backward(net, t1, labels)
+        loss1, g1 = loss_and_backward(net, traced(net, x), labels)
         x2 = np.vstack([x, x])
-        t2 = forward(net, x2)
-        loss2, g2 = loss_and_backward(net, t2, np.concatenate([labels, labels]))
+        loss2, g2 = loss_and_backward(net, traced(net, x2), np.concatenate([labels, labels]))
         assert abs(loss1 - loss2) < 1e-12
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
     def test_label_out_of_range(self):
         net = init_network(small_spec([3, 4, 2]), seed=0)
-        trace = forward(net, np.zeros((2, 3)))
+        ws = traced(net, np.zeros((2, 3)))
         with pytest.raises(ValueError, match="range"):
-            loss_and_backward(net, trace, np.array([0, 2]))
+            loss_and_backward(net, ws, np.array([0, 2]))
 
     def test_empty_batch_rejected(self):
         net = init_network(small_spec([3, 4, 2]), seed=0)
-        trace = forward(net, np.zeros((0, 3)))
+        ws = traced(net, np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            loss_and_backward(net, trace, np.array([], dtype=int))
+            loss_and_backward(net, ws, np.array([], dtype=int))
 
 
 class TestLogitGradient:
@@ -293,7 +295,7 @@ class TestLogitGradient:
         net = init_network(small_spec([5, 6, 4]), seed=2)
         x = rng.standard_normal((1, 5))
         g = logit_gradient(net, x, np.array([2]))
-        a_last = forward(net, x).activations[-1][0]
+        a_last = traced(net, x).activations[-1][0]
         np.testing.assert_allclose(g[-1][2], a_last, rtol=0, atol=1e-15)
         for row in (0, 1, 3):
             assert np.all(g[-1][row] == 0.0)
@@ -306,7 +308,7 @@ class TestLogitGradient:
         grads = logit_gradient(net, x, classes)
 
         def objective(n):
-            logits = forward(n, x).logits
+            logits = forward(n, x)
             return float(np.mean(logits[np.arange(3), classes]))
 
         fd = fd_grad(objective, net)
@@ -427,11 +429,14 @@ def ref_train(weights, dataset, cfg, seed):
     return out
 
 
-@pytest.mark.parametrize("widths", [
+REFERENCE_WIDTHS = [
     (20, 300, 40, 5),                    # more weights than one SGD block
     (20, 64, 16, 96, 8, 5),
     (20,) + (64,) * 10 + (5,),           # depth 10
-])
+]
+
+
+@pytest.mark.parametrize("widths", REFERENCE_WIDTHS)
 def test_training_steps_bit_identical_to_list_reference(widths, monkeypatch):
     # 97 rows in batches of 32: every fourth step is a partial batch of one row
     rng = np.random.default_rng(17)
@@ -468,18 +473,51 @@ def test_training_steps_bit_identical_to_list_reference(widths, monkeypatch):
         assert buf.tobytes() == b"".join(b.tobytes() for b in ref_buffers)
 
 
+@pytest.mark.parametrize("widths", REFERENCE_WIDTHS)
+def test_logits_and_logit_gradient_bit_identical_to_list_reference(widths):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((37, 20))
+    classes = rng.integers(0, 5, size=37)
+    net = init_network(small_spec(widths), seed=4)
+    activations, logits = ref_forward(net.weights, x)
+    dlogits = np.zeros_like(logits)
+    dlogits[np.arange(37), classes] = 1.0 / 37
+    ref_grads, _ = ref_backward(net.weights, activations, dlogits)
+    assert forward(net, x).tobytes() == logits.tobytes()
+    grads = logit_gradient(net, x, classes)
+    assert len(grads) == len(ref_grads)
+    for g, ref_g in zip(grads, ref_grads):
+        assert g.tobytes() == ref_g.tobytes()
+
+
+def test_forward_without_workspace_keeps_one_layer_alive():
+    # an evaluation forward holds a layer's input and output, never the whole stack
+    net = init_network(small_spec([256] * 11 + [10]), seed=0)  # depth 10, width 256
+    x = np.random.default_rng(0).standard_normal((1000, 256))
+    layer_bytes = x.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = forward(net, x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * layer_bytes
+    assert logits.shape == (1000, 10)
+
+
 def test_training_step_allocates_under_one_percent_of_weights():
     spec = small_spec([784] + [512] * 5 + [10])
     net = init_network(spec, seed=0)
     state = init_optimizer(net, lr=1e-3, momentum=0.9, weight_decay=5e-4)
     ws = Workspace(spec, 128)
     rng = np.random.default_rng(0)
-    ws.batch[...] = rng.standard_normal(ws.batch.shape)
+    batch = rng.standard_normal((128, spec.input_dim))
     labels = rng.integers(0, 10, size=128)
 
     def step():
-        trace = forward(net, ws.batch, ws=ws)
-        loss_and_backward(net, trace, labels, ws=ws)
+        forward(net, batch, ws)
+        loss_and_backward(net, ws, labels)
         sgd_step(net, ws.grad, state)
 
     step()  # warm-up
@@ -584,8 +622,7 @@ def test_activation_norm_scales_with_sqrt_width():
             rng = np.random.default_rng(2000 + seed)
             net = init_network(small_spec([128, width, width, 10]), seed=seed)
             x = rng.standard_normal((4, 128))
-            trace = forward(net, x)
-            a2 = trace.activations[2]
+            a2 = traced(net, x).activations[2]
             vals.append(np.mean(np.linalg.norm(a2, axis=1)) / np.sqrt(width))
         normalized[width] = np.mean(vals)
     lo, hi = min(normalized.values()), max(normalized.values())

@@ -69,3 +69,18 @@ def test_trace_points_fire_in_a_run():
     assert under("nncore.loss_and_backward", "clrun.train_task") == 2 * cfg.steps_per_task
     assert under("nncore.forward", "clrun.evaluate") == 3
     assert sum(1 for s in tracer.spans if s.name == "nncore.copy") == 1
+
+    # the attributes the per-step metrics are made from: rows and flop per step
+    def attrs(name, parent):
+        return [s.attrs for s in sorted(tracer.spans, key=lambda s: s.sid)
+                if s.name == name and by_id[s.parent].name == parent]
+
+    # 200 rows in batches of 64: 64, 64, 64, 8, then 64, 64, 64 again, per task
+    step_rows = [64, 64, 64, 8, 64, 64, 64] * 2
+    assert [a["rows"] for a in attrs("nncore.forward", "clrun.train_task")] == step_rows
+    # weight gradients 12*32 + 32*24 + 24*3 plus error signals 32*24 + 24*3, 2 flop each
+    backward_flop_per_row = 2 * (384 + 768 + 72 + 768 + 72)
+    assert [a["flop"] for a in attrs("nncore.loss_and_backward", "clrun.train_task")] == \
+        [backward_flop_per_row * rows for rows in step_rows]
+    eval_rows = 2 * len(scenario.task1_eval) + len(scenario.task2_eval)
+    assert sum(a["rows"] for a in attrs("nncore.forward", "clrun.evaluate")) == eval_rows
