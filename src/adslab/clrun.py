@@ -5,7 +5,9 @@ gradient, then trains task 2 while recording per-layer optimization
 traces: displacement, trajectory path length, relative weight change,
 and the cosine alignment between the frozen old-task gradient and the
 step-wise new-task gradient. Finally measures the realized logit shift
-on held-out task-1 data.
+on held-out task-1 data. The end of task 1 (``Task1``) depends only on
+the architecture, the seed and the scenario bytes that ``task1_digest``
+covers, so runs whose digests match can share one.
 
 Path length discretizes the trajectory integral over coarse segments:
 the sum of Frobenius displacements between evenly spaced weight
@@ -19,11 +21,13 @@ diagnostic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 import zlib
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,21 +156,32 @@ def unit_flatten(grads: list[np.ndarray]) -> list[np.ndarray]:
     return flats
 
 
+class Gold(NamedTuple):
+    """What a run keeps of the old-task gradient: per hidden layer, its
+    spectral norm and its flattened unit vector."""
+    spectral: list[float]
+    units: list[np.ndarray]
+
+
+def summarize_gold(net: DenseNet, calib_subset: Dataset) -> Gold:
+    """The hidden layers' part of ``compute_gold``; the raw gradient is freed on return."""
+    gold = compute_gold(net, calib_subset)[:net.spec.depth]
+    return Gold([spectral_norm(g).value for g in gold], unit_flatten(gold))
+
+
 class TraceRecorder:
     """Accumulates per-layer trajectory statistics during task-2 training.
 
-    Reads ``net_start``'s weight arrays uncopied, so ``net_start`` must stay
-    frozen. Of ``gold`` it keeps only the hidden layers' spectral norms and
-    unit vectors, so the caller's gradient can be freed once this is built."""
+    Reads ``net_start``'s weight arrays and ``gold``'s unit vectors
+    uncopied, so both must stay frozen."""
 
-    def __init__(self, net_start: DenseNet, gold: list[np.ndarray], cfg: TrainConfig):
+    def __init__(self, net_start: DenseNet, gold: Gold, cfg: TrainConfig):
         self.n_layers = net_start.spec.depth  # hidden weight layers; the head is not traced
         self.start_weights = net_start.weights
         # the head is stored last, so the hidden layers are a prefix of the flat vector
         self.segment_anchor = net_start.flat[:-net_start.weights[-1].size].copy()
         self.anchor_layers = layer_views(net_start.spec.widths[:-1], self.segment_anchor)
-        self.gold_spectral = [spectral_norm(g).value for g in gold[:self.n_layers]]
-        self.gold_units = unit_flatten(gold[:self.n_layers])
+        self.gold_spectral, self.gold_units = gold
         self.trace_every = cfg.trace_every
         self.segment_len = max(1, cfg.steps_per_task // cfg.path_segments)
         self.pathlen = np.zeros(self.n_layers)
@@ -284,32 +299,72 @@ def evaluate(net: DenseNet, ds: Dataset) -> tuple[float, float, np.ndarray]:
     return acc, stats.ece_of_logits(logits, ds.labels), logits
 
 
-def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
-                 arch_id: str = "arch", eval_cap: int | None = None) -> RunRecord:
-    """Full instrumented pipeline for one (architecture, scenario, seed) run."""
-    t0 = time.time()
+@dataclass
+class Task1:
+    """The end of task 1: the frozen net and what a run measures on it.
+
+    Every run of one architecture and seed whose scenarios share a
+    ``task1_digest`` would compute it bit for bit, so they can share one."""
+    net_t: DenseNet
+    acc: float
+    ece_before: float
+    f_t: np.ndarray  # logits on the capped task-1 eval set
+    gold: Gold
+
+
+def task1_digest(scenario: Scenario) -> str:
+    """sha256 of every scenario byte ``train_task1`` reads, hashed without a copy."""
+    h = hashlib.sha256(str(scenario.n_classes).encode())
+    for ds in (scenario.task1_train, scenario.task1_eval, scenario.calib_subset):
+        for a in (ds.images, ds.labels):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(memoryview(np.ascontiguousarray(a)))
+    return h.hexdigest()
+
+
+def train_task1(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
+                arch_id: str = "arch", eval_cap: int | None = None) -> Task1:
+    """Train task 1 of a run from its seeded init, then measure it; raises
+    DivergenceError as ``train_task`` does."""
     spec = arch.with_dims(scenario.input_dim, scenario.n_classes)
     net = init_network(spec, derive_seed(cfg.seed, arch_id, "init"))
+    # each task is its own S-step phase with fresh momentum, freed when it ends
+    train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
+               scenario.task1_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task1"))
+    acc, ece_before, f_t = evaluate(net, scenario.task1_eval.take(slice(eval_cap)))
+    return Task1(net, acc, ece_before, f_t, summarize_gold(net, scenario.calib_subset))
 
+
+def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
+                 arch_id: str = "arch", eval_cap: int | None = None,
+                 task1: Task1 | DivergenceError | None = None) -> RunRecord:
+    """Full instrumented pipeline for one (architecture, scenario, seed) run.
+
+    ``task1`` is this run's end of task 1 from ``train_task1``, when runs
+    share it; without it the run trains its own. A DivergenceError in its
+    place is that shared task 1's divergence, and flags the run invalid.
+    """
+    t0 = time.time()
     task1_eval = scenario.task1_eval.take(slice(eval_cap))
     task2_eval = scenario.task2_eval.take(slice(eval_cap))
 
     note = ""
     valid = True
     try:
-        # each task is its own S-step phase with fresh momentum, freed when it ends
-        train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
-                   scenario.task1_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task1"))
-        net_t = net.copy()  # frozen task-1 net; the recorder reads its weights
-        task1_eval_acc, ece_before, f_t = evaluate(net_t, task1_eval)
-        recorder = TraceRecorder(net_t, compute_gold(net_t, scenario.calib_subset), cfg)
+        if task1 is None:
+            task1 = train_task1(arch, scenario, cfg, arch_id, eval_cap)
+        elif isinstance(task1, DivergenceError):
+            raise task1.with_traceback(None)
+        net = task1.net_t.copy()  # net_t stays frozen; the recorder reads its weights
+        recorder = TraceRecorder(task1.net_t, task1.gold, cfg)
         train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
                    scenario.task2_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task2"),
                    recorder=recorder)
         traces = recorder.finalize(net)
         _, ece_after, f_t1 = evaluate(net, task1_eval)
-        observed_shift = measure_logit_shift(f_t, f_t1)
+        observed_shift = measure_logit_shift(task1.f_t, f_t1)
         task2_eval_acc, _, _ = evaluate(net, task2_eval)
+        task1_eval_acc, ece_before = task1.acc, task1.ece_before
     except DivergenceError as exc:
         valid = False
         note = str(exc)

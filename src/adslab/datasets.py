@@ -139,10 +139,15 @@ def load_cifar10(batch_paths: Sequence, name: str = "cifar10", split: str = "tra
 
 
 def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
-    """Rotate each image about its center (bilinear interpolation, zero fill)."""
+    """Rotate each image about its center (bilinear interpolation, zero fill).
+
+    At 0 degrees this is a copy: bilinear weights of exactly 1 and 0 give
+    the same bytes for finite images without -0.0, as every loader's are."""
     side = int(round(np.sqrt(ds.n_features)))
     if side * side != ds.n_features:
         raise ValueError(f"images are not square: {ds.n_features} pixels")
+    if angle_deg == 0:
+        return Dataset(ds.name, ds.images.copy(), ds.labels.copy(), ds.split)
     theta = np.deg2rad(angle_deg)
     c, s = np.cos(theta), np.sin(theta)
     center = (side - 1) / 2.0

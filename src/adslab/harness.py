@@ -5,18 +5,22 @@ An experiment directory is fully determined by its config: the pool
 manifest, fitted parameter profiles, the run-record stream, and every
 CSV/SVG report are pure functions of (config, seeds, dataset bytes).
 Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
-resume; records append in completion order but every aggregate is
-computed from the key-sorted stream, so scheduling order never changes
-a reported number. A resume under a changed config is refused, and one
-run at a time may use a directory.
+resume. Records append in key order, arch-major (arch, seed, scenario),
+whatever the worker count. The pending runs of one architecture and
+seed whose scenarios share a task-1 digest are one job, which trains
+task 1 once. Every aggregate is computed from the key-sorted stream, so
+the record order never changes a reported number. A resume under a
+changed config is refused, and one run at a time may use a directory.
 """
 
 from __future__ import annotations
 
 import configparser
 import fcntl
+import itertools
 import math
 import os
+import queue
 import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,8 +32,10 @@ from . import stats
 from .ads import compute_ads
 from .archpool import PoolConfig, generate_pool, load_manifest, save_manifest, _category_counts
 from .calib import CalibrationParams, calibrate_params, load_profile, save_profile
-from .clrun import TrainConfig, append_records, read_records, run_scenario
+from .clrun import (TrainConfig, append_records, read_records, run_scenario, task1_digest,
+                    train_task1)
 from .datasets import Scenario, ScenarioSpec, load_cifar10, load_idx, make_scenario, sample_subset
+from .nncore import ArchitectureSpec, DivergenceError
 from .synthdata import IDX_FILENAMES
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
@@ -332,12 +338,51 @@ def run_calibration(cfg: ExperimentConfig, scenario: Scenario,
 
 
 def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
-    keys = []
-    for spec in cfg.scenarios:
-        for arch_id, _ in pool_entries:
-            for seed in cfg.seeds:
-                keys.append((arch_id, spec.scenario_id, seed))
-    return keys
+    """Every pool run's key, arch-major: the runs that may share a task 1 sit together."""
+    return [(arch_id, spec.scenario_id, seed) for arch_id, _ in pool_entries
+            for seed in cfg.seeds for spec in cfg.scenarios]
+
+
+def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig, arch_id: str = "arch",
+            eval_cap: int | None = None):
+    """The records of one architecture and seed on scenarios whose task 1 is
+    byte-identical, yielded in order as each completes.
+
+    Task 1 trains once and its end is shared; a job of one run trains it
+    inside ``run_scenario``. A task-1 divergence flags every run invalid."""
+    task1 = None
+    if len(scenarios) > 1:
+        try:
+            task1 = train_task1(arch, scenarios[0], cfg, arch_id, eval_cap)
+        except DivergenceError as exc:
+            task1 = exc
+    for scenario in scenarios:
+        yield run_scenario(arch, scenario, cfg, arch_id=arch_id, eval_cap=eval_cap, task1=task1)
+
+
+_JOB_DONE = object()
+
+
+def _pump(records, out: queue.SimpleQueue) -> None:
+    """Pass a job's records to ``out`` as they come, then the end marker."""
+    try:
+        for rec in records:
+            out.put(rec)
+    finally:
+        out.put(_JOB_DONE)
+
+
+def _in_order(ex: ThreadPoolExecutor, jobs: list):
+    """Every record of ``jobs`` (generators run on ``ex``'s threads), in job
+    order, each as soon as it and every record before it are complete."""
+    pending = []
+    for job in jobs:
+        out = queue.SimpleQueue()
+        pending.append((out, ex.submit(_pump, job, out)))
+    for out, future in pending:
+        while (rec := out.get()) is not _JOB_DONE:
+            yield rec
+        future.result()  # raise what the job raised
 
 
 def _drop_torn_tail(path) -> None:
@@ -400,18 +445,18 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
             raise ValueError(f"{out}: another run is using this experiment directory") from None
         ini = os.path.join(out, "experiment.ini")
         _refuse_changed_config(cfg, ini)
-        manifest_path = os.path.join(out, "pool.manifest")
-        if pool_manifest is not None:
-            _adopt_manifest(pool_manifest, manifest_path)
-        save_config(cfg, ini)
-        os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
-
+        # everything that can refuse the config runs before its snapshot is saved
         datasets = load_dataset_pool(cfg)
         scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
                      for s in cfg.scenarios}
-
-        if not os.path.exists(manifest_path):
-            save_manifest(generate_pool(cfg.pool), manifest_path, seed=cfg.pool.seed)
+        manifest_path = os.path.join(out, "pool.manifest")
+        if pool_manifest is not None:
+            _adopt_manifest(pool_manifest, manifest_path)
+        pool = None if os.path.exists(manifest_path) else generate_pool(cfg.pool)
+        save_config(cfg, ini)
+        os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
+        if pool is not None:
+            save_manifest(pool, manifest_path, seed=cfg.pool.seed)
         pool_entries = load_manifest(manifest_path)
 
         # calibration per scenario, unless a transfer preset scores every scenario;
@@ -425,24 +470,27 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
                                                      pool_entries, fraction), path)
             load_profile(cfg.scoring_profile_path(spec))
 
-        # full pool runs, resumable by key
+        # full pool runs, resumable by key, one job per shared task 1
         _drop_torn_tail(records_path)
         done = {tuple(r.key) for r in read_records(records_path)}
-        jobs = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
+        pending = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
+        digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
         arch_by_id = dict(pool_entries)
 
-        def execute(job):
-            arch_id, scenario_id, seed = job
-            scenario = scenarios[scenario_id]
-            steps = steps_for(cfg, len(scenario.task1_train))
-            tc = train_config(cfg, steps, seed)
-            return run_scenario(arch_by_id[arch_id], scenario, tc,
-                                arch_id=arch_id, eval_cap=cfg.eval_cap)
+        def job(keys: list):
+            arch_id, scenario_id, seed = keys[0]
+            # the runs of a job share task 1's length, so its step count
+            steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
+            return run_job(arch_by_id[arch_id], [scenarios[sid] for _, sid, _ in keys],
+                           train_config(cfg, steps, seed), arch_id=arch_id, eval_cap=cfg.eval_cap)
 
-        # one worker runs the jobs in this thread; the executor starts no thread until map
+        jobs = [job(list(keys)) for _, keys in
+                itertools.groupby(pending, key=lambda k: (k[0], k[2], digests[k[1]]))]
+        # one worker runs the jobs in this thread; the executor starts no thread until submit
         workers = cfg.resolved_workers()
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            for rec in (map if workers == 1 else ex.map)(execute, jobs):
+            records = itertools.chain.from_iterable(jobs) if workers == 1 else _in_order(ex, jobs)
+            for rec in records:
                 append_records(records_path, [rec])
                 if progress:
                     progress(rec)

@@ -17,6 +17,7 @@ from adslab.clrun import (
     measure_logit_shift,
     read_records,
     run_scenario,
+    summarize_gold,
     train_task,
     unit_flatten,
 )
@@ -61,7 +62,7 @@ class TestTrainTask:
         state = init_optimizer(net, lr=1e-2, momentum=0.9, weight_decay=5e-4)
         cfg = TrainConfig(steps_per_task=1, batch_size=64, lr=1e-2, seed=3)
         start = net.copy()
-        rec = TraceRecorder(start, compute_gold(start, scenario.calib_subset), cfg)
+        rec = TraceRecorder(start, summarize_gold(start, scenario.calib_subset), cfg)
         train_task(net, state, scenario.task1_train, cfg, seed=cfg.seed, recorder=rec)
         for tr in rec.finalize(net):
             assert tr.pathlen == tr.disp  # single segment telescopes exactly
@@ -182,7 +183,7 @@ class TestRunScenario:
         net = init_network(ARCH, seed=1)
         start = net.copy()
         frozen = [w.copy() for w in start.weights]
-        rec = TraceRecorder(start, compute_gold(start, scenario.calib_subset), cfg)
+        rec = TraceRecorder(start, summarize_gold(start, scenario.calib_subset), cfg)
         state = init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
         train_task(net, state, scenario.task2_train, cfg, seed=cfg.seed, recorder=rec)
         rec.finalize(net)

@@ -114,6 +114,15 @@ class TestRotate:
         rot = rotate_images(ds, 0.0)
         assert rot.images.tobytes() == ds.images.tobytes()
 
+    def test_zero_angle_copy_matches_the_bilinear_path_on_loaded_idx(self, idx_pair):
+        # at 1e-300 degrees the rotation rounds to the identity (cosine 1.0, sine
+        # terms far below an ulp), so the bilinear path runs with weights 1 and 0
+        ds = load_idx(*idx_pair[:2])
+        copy = rotate_images(ds, 0.0)
+        bilinear = rotate_images(ds, 1e-300)
+        assert copy.images.tobytes() == bilinear.images.tobytes() == ds.images.tobytes()
+        assert not np.shares_memory(copy.images, ds.images)
+
     def test_full_turn_identity_within_tolerance(self):
         ds = self.grid_ds()
         rot = rotate_images(ds, 360.0)

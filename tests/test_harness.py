@@ -1,28 +1,37 @@
 """Orchestration tests: config round-trips, resume, worker invariance, CLI."""
 
+import collections
 import configparser
 import fcntl
+import json
 import os
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from adslab.archpool import PoolConfig, _category_counts
+from adslab import clrun
+from adslab.archpool import PoolConfig, _category_counts, load_manifest
 from adslab.cli import main as cli_main
-from adslab.clrun import read_records
-from adslab.datasets import ScenarioSpec
+from adslab.clrun import derive_seed, read_records, run_scenario, task1_digest
+from adslab.datasets import ScenarioSpec, make_scenario
 from adslab.harness import (
     ExperimentConfig,
     dataset_paths,
     emit_report,
     load_config,
+    load_dataset_pool,
     load_named_dataset,
     run_experiment,
+    run_job,
     save_config,
+    steps_for,
+    train_config,
 )
+from adslab.nncore import ArchitectureSpec, DivergenceError
 from adslab.synthdata import generate_dataset
 
 
@@ -40,6 +49,29 @@ def tiny_config(root, out_name="exp", seeds=(0, 1, 2), workers=1, per_category=2
         n_calib_archs=4, min_task1_acc=0.0, n_perm=999, n_boot=1000,
         baseline_perms=50,
     )
+
+
+def shared_config(root, out_name, workers=1):
+    """tiny_config plus a rotated scenario whose task 1 is byte-identical to mf's."""
+    cfg = tiny_config(root, out_name=out_name, seeds=(0, 1), workers=workers)
+    rot = ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0,
+                       eval_fraction=0.5, calib_fraction=0.4)
+    return replace(cfg, scenarios=cfg.scenarios + [rot])
+
+
+def record_lines(out):
+    """records.jsonl in file order, without the wall-clock field."""
+    lines = []
+    for line in open(os.path.join(out, "records.jsonl")):
+        d = json.loads(line)
+        d.pop("wall_time")
+        lines.append(json.dumps(d, sort_keys=True))
+    return lines
+
+
+def reports(out):
+    names = sorted(n for n in os.listdir(os.path.join(out, "reports")) if n.endswith(".csv"))
+    return {n: open(os.path.join(out, "reports", n), "rb").read() for n in names}
 
 
 def non_default_config(kind):
@@ -302,6 +334,113 @@ class TestRunExperiment:
             read_records(path)
 
 
+class TestSharedTask1:
+    """Runs of one arch and seed whose task 1 is byte-identical train it once."""
+
+    def test_records_equal_stand_alone_runs(self, data_root):
+        cfg = shared_config(str(data_root), "exp_shared_alone")
+        out = run_experiment(cfg)
+        datasets = load_dataset_pool(cfg)
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+                     for s in cfg.scenarios}
+        assert task1_digest(scenarios["mf"]) == task1_digest(scenarios["rot"])
+        arch_by_id = dict(load_manifest(os.path.join(out, "pool.manifest")))
+        lines = record_lines(out)
+        # arch-major key order: both scenarios of an (arch, seed) are adjacent
+        keys = [(d["arch_id"], d["seed"], d["scenario_id"]) for d in map(json.loads, lines)]
+        assert keys == [(a, seed, sid) for a in sorted(arch_by_id) for seed in cfg.seeds
+                        for sid in ("mf", "rot")]
+        for line, (arch_id, seed, sid) in zip(lines, keys):
+            sc = scenarios[sid]
+            tc = train_config(cfg, steps_for(cfg, len(sc.task1_train)), seed)
+            alone = run_scenario(arch_by_id[arch_id], sc, tc, arch_id=arch_id,
+                                 eval_cap=cfg.eval_cap)
+            d = json.loads(alone.to_json())
+            d.pop("wall_time")
+            assert json.dumps(d, sort_keys=True).encode() == line.encode()
+
+    def test_task1_trains_once_per_arch_and_seed(self, data_root, monkeypatch):
+        cfg = shared_config(str(data_root), "exp_shared_count")
+        task1_seeds = collections.Counter()
+        original = clrun.train_task
+
+        def counting(net, state, dataset, cfg, seed, recorder=None):
+            if recorder is None:
+                task1_seeds[seed] += 1
+            return original(net, state, dataset, cfg, seed=seed, recorder=recorder)
+
+        monkeypatch.setattr(clrun, "train_task", counting)
+        out = run_experiment(cfg)
+        pool = load_manifest(os.path.join(out, "pool.manifest"))
+        # calibration runs train under their own arch ids, so their seeds differ
+        assert [task1_seeds[derive_seed(seed, arch_id, "task1")]
+                for arch_id, _ in pool for seed in cfg.seeds] == [1] * len(pool) * 2
+
+    def test_worker_count_gives_identical_record_lines(self, data_root):
+        out1 = run_experiment(shared_config(str(data_root), "exp_shared_w1", workers=1))
+        out2 = run_experiment(shared_config(str(data_root), "exp_shared_w2", workers=2))
+        assert record_lines(out1) == record_lines(out2)
+        assert reports(out1) == reports(out2)
+
+    def test_task1_divergence_flags_every_member(self, data_root, monkeypatch):
+        cfg = shared_config(str(data_root), "exp_shared_diverge", workers=2)
+        boom = derive_seed(1, "arch0002", "task1")
+        original = clrun.train_task
+        diverged = []
+
+        def diverging(net, state, dataset, cfg, seed, recorder=None):
+            if seed == boom:
+                diverged.append(seed)
+                raise DivergenceError("non-finite loss at step 3")
+            return original(net, state, dataset, cfg, seed=seed, recorder=recorder)
+
+        monkeypatch.setattr(clrun, "train_task", diverging)
+        out = run_experiment(cfg)
+        assert len(diverged) == 1  # the shared task 1, not one per member
+        invalid = [r for r in read_records(os.path.join(out, "records.jsonl")) if not r.valid]
+        assert sorted((r.arch_id, r.scenario_id, r.seed) for r in invalid) == \
+            [("arch0002", "mf", 1), ("arch0002", "rot", 1)]
+        assert {r.note for r in invalid} == {"non-finite loss at step 3"}
+        assert all(r.layer_traces == [] for r in invalid)
+
+    def test_resume_after_one_member_gives_the_same_lines(self, data_root):
+        cfg = shared_config(str(data_root), "exp_shared_resume")
+        out = run_experiment(cfg)
+        full = record_lines(out)
+        before = reports(out)
+        records_path = os.path.join(out, "records.jsonl")
+        first = open(records_path).readline()
+        open(records_path, "w").write(first)  # the crash came after the first member
+        run_experiment(cfg)
+        assert sorted(record_lines(out)) == sorted(full)
+        assert reports(out) == before
+
+    def test_a_shared_job_peaks_no_higher_than_one_run(self, data_root):
+        # the job keeps task 1's end alive through every member, but of the old-task
+        # gradient only what the recorder reads: a raw gradient (one more copy of
+        # the weights) held through task 2 would exceed the slack
+        cfg = shared_config(str(data_root), "unused")
+        datasets = load_dataset_pool(cfg)
+        mf, rot = (make_scenario(s, datasets, seed=0) for s in cfg.scenarios)
+        arch = ArchitectureSpec(3, (784, 256, 384, 256, 10), "spindle")
+        tc = train_config(cfg, steps_for(cfg, len(mf.task1_train)), 0)
+        weight_bytes = 8 * (784 * 256 + 256 * 384 + 384 * 256 + 256 * 10)
+
+        def peak(scenarios):
+            tracemalloc.start()
+            try:
+                records = list(run_job(arch, scenarios, tc, arch_id="a0", eval_cap=cfg.eval_cap))
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [r.valid for r in records] == [True] * len(scenarios)
+            return top
+
+        one = peak([mf])
+        two = peak([mf, rot])
+        assert two <= one + 0.02 * weight_bytes, (one, two, weight_bytes)
+
+
 class TestCli:
     def test_make_data_and_gen_pool_deterministic(self, tmp_path, capsys):
         assert cli_main(["make-data", "--out", str(tmp_path / "d"),
@@ -352,6 +491,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert str(bad_path) in err and key in err, err
             assert not os.path.exists(os.path.join(cfg.out_dir, "experiment.ini"))
+        assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
+
+    def test_pool_that_cannot_be_generated_leaves_no_snapshot(self, tmp_path, data_root,
+                                                               capsys):
+        cfg = tiny_config(str(data_root), out_name="exp_bad_pool", seeds=(0,))
+        good = tmp_path / "good.ini"
+        save_config(cfg, good)
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(good)
+        cp["pool"]["widths"], cp["pool"]["count_uniform"] = "32,48", "5"
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cp.write(fh)
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(bad), "--quiet"]) == 2
+        assert "requested 5 unique specs but only 2 are possible" in capsys.readouterr().err
+        for name in ("experiment.ini", "pool.manifest"):
+            assert not os.path.exists(os.path.join(cfg.out_dir, name))
         assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
 
     @pytest.mark.parametrize("text,named", [

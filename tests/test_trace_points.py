@@ -9,6 +9,7 @@ per-step metrics are made from.
 """
 
 import importlib
+import json
 import os
 import runpy
 
@@ -16,9 +17,12 @@ import numpy as np
 import pytest
 
 from adslab import harness
+from adslab.archpool import PoolConfig
+from adslab.calib import CalibrationParams, save_profile
 from adslab.clrun import TrainConfig
 from adslab.datasets import Dataset, Scenario, ScenarioSpec
 from adslab.nncore import ArchitectureSpec
+from adslab.synthdata import generate_dataset
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
 
@@ -84,3 +88,32 @@ def test_trace_points_fire_in_a_run():
         [backward_flop_per_row * rows for rows in step_rows]
     eval_rows = 2 * len(scenario.task1_eval) + len(scenario.task2_eval)
     assert sum(a["rows"] for a in attrs("nncore.forward", "clrun.evaluate")) == eval_rows
+
+
+def test_shared_task1_trains_once_per_distinct_key(tmp_path):
+    # clrun.task1_useful_ratio is distinct task1_keys over task-1 train_task
+    # spans; with shared task 1 every pool training is a distinct one
+    for name in ("mnist", "fashion_mnist"):
+        generate_dataset(str(tmp_path / "data"), name, n_train=300, n_test=150, seed=1)
+    specs = [ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist"),
+             ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0)]
+    cfg = harness.ExperimentConfig(
+        scenarios=specs, seeds=(0, 1), out_dir=str(tmp_path / "exp"),
+        data_root=str(tmp_path / "data"), batch_size=64, eval_cap=100, min_task1_acc=0.0,
+        pool=PoolConfig(depths=(3,), width_candidates=(16, 24, 32),
+                        per_category_counts={"uniform": 3}, seed=1),
+        profiles_dir=str(tmp_path / "presets"), transfer_profile="preset")
+    os.makedirs(cfg.profiles_dir)
+    save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
+                 cfg.profile_path("preset"))
+    tracer = SPANS["Tracer"]()
+    tracer.install()
+    try:
+        tracer.call("harness.run_experiment", harness.run_experiment, cfg)
+    finally:
+        tracer.uninstall()
+    task1 = [s for s in tracer.spans
+             if s.name == "clrun.train_task" and s.attrs.get("task") == 1]
+    assert len(task1) == len({json.dumps(s.attrs["task1_key"]) for s in task1}) == 3 * 2
+    assert sum(1 for s in tracer.spans if s.name == "clrun.run_scenario") == 3 * 2 * 2
+    assert SPANS["nesting_problems"](tracer.spans) == []
