@@ -54,8 +54,10 @@ class PoolConfig:
             raise ValueError("width candidate pool must be non-empty")
         if any(c < 0 for c in self.per_category_counts.values()):
             raise ValueError("per-category counts must be >= 0")
-        if any(d < 1 for d in self.depths):
-            raise ValueError("depths must be >= 1")
+        for name, values in (("depths", self.depths), ("widths", self.width_candidates),
+                             ("input_dim", (self.input_dim,)), ("output_dim", (self.output_dim,))):
+            if any(v < 1 for v in values):
+                raise ValueError(f"{name} must be >= 1, got {values}")
         object.__setattr__(self, "depths", tuple(sorted(self.depths)))
         object.__setattr__(self, "width_candidates", tuple(sorted(self.width_candidates)))
 

@@ -5,12 +5,14 @@ An experiment directory is fully determined by its config: the pool
 manifest, fitted parameter profiles, the run-record stream, and every
 CSV/SVG report are pure functions of (config, seeds, dataset bytes).
 Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
-resume. Records append in key order, arch-major (arch, seed, scenario),
-whatever the worker count. The pending runs of one architecture and
-seed whose scenarios share a task-1 digest are one job, which trains
-task 1 once. Every aggregate is computed from the key-sorted stream, so
-the record order never changes a reported number. A resume under a
-changed config is refused, and one run at a time may use a directory.
+resume. The pending runs of one architecture and seed whose scenarios
+share a task-1 digest are one job, which trains task 1 once and returns
+its records. A job's records are appended together, in key order,
+arch-major (arch, seed, scenario), once it and every job before it are
+complete, whatever the worker count. Every aggregate is computed from
+the key-sorted stream, so the record order never changes a reported
+number. A resume under a changed config is refused, and one run at a
+time may use a directory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import fcntl
 import itertools
 import math
 import os
-import queue
 import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if not all(0.0 < f <= 1.0 for f in self.calib_fractions):
             raise ValueError(f"calib fractions must be in (0, 1], got {self.calib_fractions}")
+        # a repeated seed or scenario id would run its keys twice, and fractions
+        # that round alike would fit one profile under two fractions
+        scenario_ids = [s.scenario_id for s in self.scenarios]
+        for name, values, keys in (
+                ("seeds", self.seeds, self.seeds),
+                ("scenario ids", scenario_ids, scenario_ids),
+                ("calib fractions (to 0.01, as their profile ids)", self.calib_fractions,
+                 [profile_id("", f) for f in self.calib_fractions])):
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"{name} must be distinct, got {values}")
 
     def resolved_data_root(self) -> str:
         return os.environ.get(ENV_DATA_ROOT, self.data_root)
@@ -344,9 +355,9 @@ def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
 
 
 def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig, arch_id: str = "arch",
-            eval_cap: int | None = None):
+            eval_cap: int | None = None) -> list:
     """The records of one architecture and seed on scenarios whose task 1 is
-    byte-identical, yielded in order as each completes.
+    byte-identical, in scenario order.
 
     Task 1 trains once and its end is shared; a job of one run trains it
     inside ``run_scenario``. A task-1 divergence flags every run invalid."""
@@ -356,33 +367,8 @@ def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig, arch_id: 
             task1 = train_task1(arch, scenarios[0], cfg, arch_id, eval_cap)
         except DivergenceError as exc:
             task1 = exc
-    for scenario in scenarios:
-        yield run_scenario(arch, scenario, cfg, arch_id=arch_id, eval_cap=eval_cap, task1=task1)
-
-
-_JOB_DONE = object()
-
-
-def _pump(records, out: queue.SimpleQueue) -> None:
-    """Pass a job's records to ``out`` as they come, then the end marker."""
-    try:
-        for rec in records:
-            out.put(rec)
-    finally:
-        out.put(_JOB_DONE)
-
-
-def _in_order(ex: ThreadPoolExecutor, jobs: list):
-    """Every record of ``jobs`` (generators run on ``ex``'s threads), in job
-    order, each as soon as it and every record before it are complete."""
-    pending = []
-    for job in jobs:
-        out = queue.SimpleQueue()
-        pending.append((out, ex.submit(_pump, job, out)))
-    for out, future in pending:
-        while (rec := out.get()) is not _JOB_DONE:
-            yield rec
-        future.result()  # raise what the job raised
+    return [run_scenario(arch, scenario, cfg, arch_id=arch_id, eval_cap=eval_cap, task1=task1)
+            for scenario in scenarios]
 
 
 def _drop_torn_tail(path) -> None:
@@ -477,23 +463,24 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
         arch_by_id = dict(pool_entries)
 
-        def job(keys: list):
+        def job(keys: list) -> list:
             arch_id, scenario_id, seed = keys[0]
             # the runs of a job share task 1's length, so its step count
             steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
             return run_job(arch_by_id[arch_id], [scenarios[sid] for _, sid, _ in keys],
                            train_config(cfg, steps, seed), arch_id=arch_id, eval_cap=cfg.eval_cap)
 
-        jobs = [job(list(keys)) for _, keys in
-                itertools.groupby(pending, key=lambda k: (k[0], k[2], digests[k[1]]))]
-        # one worker runs the jobs in this thread; the executor starts no thread until submit
+        groups = [list(keys) for _, keys in
+                  itertools.groupby(pending, key=lambda k: (k[0], k[2], digests[k[1]]))]
+        # one worker maps in this thread (the executor starts no thread until
+        # submit); more map on the pool, whose results come back in job order
         workers = cfg.resolved_workers()
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            records = itertools.chain.from_iterable(jobs) if workers == 1 else _in_order(ex, jobs)
-            for rec in records:
-                append_records(records_path, [rec])
+            for records in (map if workers == 1 else ex.map)(job, groups):
+                append_records(records_path, records)
                 if progress:
-                    progress(rec)
+                    for rec in records:
+                        progress(rec)
 
         emit_report(out)
     return out

@@ -13,7 +13,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from adslab import clrun
+from adslab import clrun, harness
 from adslab.archpool import PoolConfig, _category_counts, load_manifest
 from adslab.cli import main as cli_main
 from adslab.clrun import derive_seed, read_records, run_scenario, task1_digest
@@ -181,6 +181,13 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/path.ini")
+
+    def test_duplicate_scenario_id_refused(self, tmp_path):
+        # configparser refuses a repeated [scenario <id>] section; a config built
+        # in code must be refused too, or two scenarios would share run keys
+        cfg = tiny_config(str(tmp_path))
+        with pytest.raises(ValueError, match=r"scenario ids must be distinct.*'mf', 'mf'"):
+            replace(cfg, scenarios=cfg.scenarios * 2)
 
 
 class TestDatasetResolution:
@@ -415,6 +422,26 @@ class TestSharedTask1:
         assert sorted(record_lines(out)) == sorted(full)
         assert reports(out) == before
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_job_stops_the_run(self, data_root, monkeypatch, workers):
+        whole = record_lines(run_experiment(shared_config(str(data_root), "exp_shared_whole")))
+        cfg = shared_config(str(data_root), f"exp_shared_fail_w{workers}", workers=workers)
+        original = harness.run_scenario
+
+        def failing(arch, scenario, cfg, arch_id="arch", **kwargs):
+            if arch_id == "arch0002":
+                raise RuntimeError(f"broken {arch_id}")
+            return original(arch, scenario, cfg, arch_id=arch_id, **kwargs)
+
+        monkeypatch.setattr(harness, "run_scenario", failing)
+        with pytest.raises(RuntimeError, match="broken arch0002"):
+            run_experiment(cfg)
+        # the jobs of arch0000 and arch0001 (2 seeds x 2 scenarios each), nothing after
+        assert record_lines(cfg.out_dir) == whole[:8]
+        monkeypatch.undo()
+        run_experiment(cfg)
+        assert record_lines(cfg.out_dir) == whole
+
     def test_a_shared_job_peaks_no_higher_than_one_run(self, data_root):
         # the job keeps task 1's end alive through every member, but of the old-task
         # gradient only what the recorder reads: a raw gradient (one more copy of
@@ -480,7 +507,9 @@ class TestCli:
         for section, key, bad in [("train", "lr", "0"), ("train", "batch_size", "0"),
                                   ("stats", "n_perm", "10"), ("stats", "n_boot", "999"),
                                   ("experiment", "eval_cap", "0"), ("calib", "fractions", "1.5"),
-                                  ("experiment", "seeds", "-1")]:
+                                  ("experiment", "seeds", "-1"), ("experiment", "seeds", "0,0"),
+                                  ("calib", "fractions", "0.4,0.401"),
+                                  ("pool", "widths", "0,16,24")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad

@@ -116,4 +116,6 @@ def test_shared_task1_trains_once_per_distinct_key(tmp_path):
              if s.name == "clrun.train_task" and s.attrs.get("task") == 1]
     assert len(task1) == len({json.dumps(s.attrs["task1_key"]) for s in task1}) == 3 * 2
     assert sum(1 for s in tracer.spans if s.name == "clrun.run_scenario") == 3 * 2 * 2
+    # one append per job: a job's records reach records.jsonl together
+    assert sum(1 for s in tracer.spans if s.name == "clrun.append_records") == 3 * 2
     assert SPANS["nesting_problems"](tracer.spans) == []
