@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .calib import CalibrationParams
-from .nncore import ArchitectureSpec, arch_diagnostics
+from .nncore import ArchitectureSpec
 
 
 @dataclass
@@ -32,12 +32,6 @@ def layer_term(w_in: int, w_out: int, l: int, params: CalibrationParams) -> floa
 
 
 def compute_ads(spec: ArchitectureSpec, params: CalibrationParams) -> AdsScore:
-    problems = arch_diagnostics(spec)
-    if problems:
-        raise ValueError("invalid architecture spec: " + "; ".join(problems))
-    for name in ("alpha", "beta", "b", "c"):
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"non-finite parameter {name}")
     terms = tuple(
         layer_term(spec.widths[l - 1], spec.widths[l], l, params)
         for l in range(1, spec.depth + 1)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import TOPOLOGY_TAGS, ArchitectureSpec, arch_diagnostics
+from .clrun import write_atomic
+from .nncore import TOPOLOGY_TAGS, ArchitectureSpec
 
 # capped at width 1024 / depth 10; large enough for 35 unique specs per
 # category across three depths
@@ -219,18 +220,16 @@ def manifest_to_pool(text: str) -> list[tuple[str, ArchitectureSpec]]:
         if not line or line.startswith("#"):
             continue
         arch_id, depth_s, widths_s, tag = line.split("\t")
-        widths = tuple(int(w) for w in widths_s.split(","))
-        spec = ArchitectureSpec(depth=int(depth_s), widths=widths, topology_tag=tag)
-        problems = arch_diagnostics(spec)
-        if problems:
-            raise ValueError(f"manifest entry {arch_id}: " + "; ".join(problems))
+        try:
+            spec = ArchitectureSpec(int(depth_s), tuple(int(w) for w in widths_s.split(",")), tag)
+        except ValueError as exc:
+            raise ValueError(f"manifest entry {arch_id}: {exc}") from None
         out.append((arch_id, spec))
     return out
 
 
 def save_manifest(pool: list[ArchitectureSpec], path, seed: int = 0) -> None:
-    with open(path, "w") as fh:
-        fh.write(pool_to_manifest(pool, seed))
+    write_atomic(path, lambda fh: fh.write(pool_to_manifest(pool, seed)))
 
 
 def load_manifest(path) -> list[tuple[str, ArchitectureSpec]]:

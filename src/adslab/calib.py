@@ -9,9 +9,10 @@ class:
 
 The width fit uses only layers whose input AND output widths are hidden
 widths (layer index >= 2), mirroring how the scaling law is stated over
-the hidden stack. Parameter profiles serialize to a small INI file; an
+the hidden stack. Profiles are small INI files, replaced atomically; an
 experiment's ``[calib] profile`` key scores with a stored profile by id,
 which is how the "small shift" / "large shift" transfer presets work.
+``CalibrationParams`` is frozen and refuses a non-finite parameter.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clrun import LayerTrace, RunRecord
+from .clrun import LayerTrace, RunRecord, write_atomic
 
 COS_LOG_FLOOR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationParams:
     alpha: float
     beta: float
@@ -177,8 +178,7 @@ def save_profile(params: CalibrationParams, path) -> None:
         sections.setdefault(section, {})[key] = str(getattr(params, name))
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
-    with open(path, "w") as fh:
-        cp.write(fh)
+    write_atomic(path, cp.write)
 
 
 def load_profile(path) -> CalibrationParams:

@@ -99,7 +99,7 @@ def cmd_calibrate(args) -> int:
     spec = matches[0]
     datasets = harness.load_dataset_pool(cfg)
     scenario = make_scenario(spec, datasets, seed=cfg.seeds[0])
-    fraction = args.fraction if args.fraction is not None else spec.calib_fraction
+    fraction = args.fraction if args.fraction is not None else cfg.fractions_for(spec)[0]
     params = harness.run_calibration(cfg, scenario, pool_entries(generate_pool(cfg.pool)),
                                      fraction)
     save_profile(params, args.out)

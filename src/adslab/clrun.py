@@ -50,14 +50,9 @@ from .nncore import (
 )
 
 
-def derive_seed(master: int, *tags) -> int:
-    """Stable sub-seed from a master seed and string/int tags."""
-    parts = [int(master) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            parts.append(zlib.crc32(tag.encode()))
-        else:
-            parts.append(int(tag) & 0xFFFFFFFF)
+def derive_seed(master: int, *tags: str) -> int:
+    """Stable sub-seed from a master seed and string tags."""
+    parts = [int(master) & 0xFFFFFFFF] + [zlib.crc32(tag.encode()) for tag in tags]
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
@@ -131,6 +126,17 @@ def append_records(path, records) -> None:
             fh.write(rec.to_json() + "\n")
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def write_atomic(path, write, mode: str = "w") -> None:
+    """Replace ``path`` whole or not at all: ``write(fh)`` fills a temp file beside
+    it, which is fsynced and then renamed over ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, mode) as fh:
+        write(fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def read_records(path) -> list[RunRecord]:

@@ -5,14 +5,16 @@ An experiment directory is fully determined by its config: the pool
 manifest, fitted parameter profiles, the run-record stream, and every
 CSV/SVG report are pure functions of (config, seeds, dataset bytes).
 Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
-resume. The pending runs of one architecture and seed whose scenarios
-share a task-1 digest are one job, which trains task 1 once and returns
-its records. A job's records are appended together, in key order,
+resume. The pending runs of one architecture and seed whose adjacent
+scenarios share a task-1 digest are one job, which trains task 1 once and
+returns its records. A job's records are appended together, in key order,
 arch-major (arch, seed, scenario), once it and every job before it are
 complete, whatever the worker count. Every aggregate is computed from
 the key-sorted stream, so the record order never changes a reported
-number. A resume under a changed config is refused, and one run at a
-time may use a directory.
+number. ``ExperimentConfig`` is frozen and checked when built (change it
+with ``dataclasses.replace``), and state files are replaced atomically.
+A resume under a changed config is refused, and one run at a time may
+use a directory.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ import numpy as np
 
 from . import stats
 from .ads import compute_ads
-from .archpool import PoolConfig, generate_pool, load_manifest, save_manifest, _category_counts
+from .archpool import (PoolConfig, generate_pool, load_manifest, pool_entries, save_manifest,
+                       _category_counts)
 from .calib import CalibrationParams, calibrate_params, load_profile, save_profile
 from .clrun import (TrainConfig, append_records, read_records, run_scenario, task1_digest,
-                    train_task1)
+                    train_task1, write_atomic)
 from .datasets import Scenario, ScenarioSpec, load_cifar10, load_idx, make_scenario, sample_subset
 from .nncore import ArchitectureSpec, DivergenceError
 from .synthdata import IDX_FILENAMES
@@ -46,9 +49,9 @@ CIFAR_TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_BATCH = "test_batch.bin"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    scenarios: list[ScenarioSpec] = field(default_factory=list)
+    scenarios: tuple[ScenarioSpec, ...] = ()
     pool: PoolConfig = field(default_factory=PoolConfig)
     seeds: tuple[int, ...] = (0, 1, 2)
     workers: int = 1
@@ -74,6 +77,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Refuse every value a later stage would refuse, before any of it is saved."""
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
         if not self.seeds:
@@ -244,8 +248,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
             f.name: _fmt(getattr(spec, f.name)) for f in fields(spec) if f.name != "scenario_id"}
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
-    with open(path, "w") as fh:
-        cp.write(fh)
+    write_atomic(path, cp.write)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +404,10 @@ def _refuse_changed_config(cfg: ExperimentConfig, ini: str) -> None:
 
 def _adopt_manifest(supplied: str, target: str) -> None:
     """Copy a supplied pool manifest to ``target``, or refuse one that differs from it."""
-    load_manifest(supplied)  # validate before copying
     with open(supplied, "rb") as fh:
         data = fh.read()
     if not os.path.exists(target):
-        with open(target, "wb") as fh:
-            fh.write(data)
+        write_atomic(target, lambda fh: fh.write(data), "wb")
         return
     with open(target, "rb") as fh:
         if fh.read() != data:
@@ -432,18 +433,25 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         ini = os.path.join(out, "experiment.ini")
         _refuse_changed_config(cfg, ini)
         # everything that can refuse the config runs before its snapshot is saved
+        workers = cfg.resolved_workers()
         datasets = load_dataset_pool(cfg)
         scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
                      for s in cfg.scenarios}
         manifest_path = os.path.join(out, "pool.manifest")
-        if pool_manifest is not None:
+        source = pool_manifest or manifest_path
+        pool = None if pool_manifest or os.path.exists(manifest_path) else generate_pool(cfg.pool)
+        entries = load_manifest(source) if pool is None else pool_entries(pool)
+        # nets train at each scenario's input width, but ADS scores the pool's
+        for (arch_id, spec), sc in itertools.product(entries, scenarios.values()):
+            if spec.input_dim != sc.input_dim:
+                raise ValueError(f"pool input_dim {spec.input_dim} ({arch_id}) differs from the "
+                                 f"input width {sc.input_dim} of scenario {sc.scenario_id}")
+        if pool_manifest:
             _adopt_manifest(pool_manifest, manifest_path)
-        pool = None if os.path.exists(manifest_path) else generate_pool(cfg.pool)
         save_config(cfg, ini)
         os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
         if pool is not None:
             save_manifest(pool, manifest_path, seed=cfg.pool.seed)
-        pool_entries = load_manifest(manifest_path)
 
         # calibration per scenario, unless a transfer preset scores every scenario;
         # a missing scoring profile fails here, before the pool phase
@@ -453,15 +461,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
                     path = cfg.profile_path(profile_id(spec.scenario_id, fraction))
                     if not os.path.exists(path):
                         save_profile(run_calibration(cfg, scenarios[spec.scenario_id],
-                                                     pool_entries, fraction), path)
+                                                     entries, fraction), path)
             load_profile(cfg.scoring_profile_path(spec))
 
         # full pool runs, resumable by key, one job per shared task 1
         _drop_torn_tail(records_path)
         done = {tuple(r.key) for r in read_records(records_path)}
-        pending = [key for key in experiment_run_keys(cfg, pool_entries) if key not in done]
+        pending = [key for key in experiment_run_keys(cfg, entries) if key not in done]
         digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
-        arch_by_id = dict(pool_entries)
+        arch_by_id = dict(entries)
 
         def job(keys: list) -> list:
             arch_id, scenario_id, seed = keys[0]
@@ -474,7 +482,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
                   itertools.groupby(pending, key=lambda k: (k[0], k[2], digests[k[1]]))]
         # one worker maps in this thread (the executor starts no thread until
         # submit); more map on the pool, whose results come back in job order
-        workers = cfg.resolved_workers()
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for records in (map if workers == 1 else ex.map)(job, groups):
                 append_records(records_path, records)

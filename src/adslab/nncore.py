@@ -3,7 +3,8 @@
 Everything here is deterministic 64-bit numpy. A network's weights are
 per-layer views of one flat vector (no autograd); gradients come from the
 explicit error-signal recursion and are laid out the same way, so copies
-and SGD updates are single passes over contiguous memory.
+and SGD updates are single passes over contiguous memory. An
+``ArchitectureSpec`` is checked once, when it is built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ class ArchitectureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        problems = []
+        if self.depth < 1:
+            problems.append(f"depth must be >= 1, got {self.depth}")
+        if len(self.widths) != self.depth + 2:
+            problems.append(f"widths length must be depth+2 = {self.depth + 2}, "
+                            f"got {len(self.widths)}")
+        for i, w in enumerate(self.widths):
+            if w < 1:
+                problems.append(f"width must be >= 1, got {w} at position {i}")
+        if self.topology_tag not in TOPOLOGY_TAGS:
+            problems.append(f"unknown topology tag {self.topology_tag!r}")
+        if problems:
+            raise ValueError("invalid architecture spec: " + "; ".join(problems))
 
     @property
     def input_dim(self) -> int:
@@ -48,27 +62,8 @@ class ArchitectureSpec:
 
     def with_dims(self, input_dim: int, output_dim: int) -> "ArchitectureSpec":
         """Same hidden stack with a different input/output head."""
-        return ArchitectureSpec(
-            depth=self.depth,
-            widths=(int(input_dim),) + self.hidden_widths + (int(output_dim),),
-            topology_tag=self.topology_tag,
-        )
-
-
-def arch_diagnostics(spec: ArchitectureSpec) -> list[str]:
-    """Check ArchitectureSpec invariants; returns problem descriptions (empty = ok)."""
-    problems = []
-    if spec.depth < 1:
-        problems.append(f"depth must be >= 1, got {spec.depth}")
-    if len(spec.widths) != spec.depth + 2:
-        problems.append(f"widths length must be depth+2 = {spec.depth + 2}, "
-                        f"got {len(spec.widths)}")
-    for i, w in enumerate(spec.widths):
-        if w < 1:
-            problems.append(f"width must be >= 1, got {w} at position {i}")
-    if spec.topology_tag not in TOPOLOGY_TAGS:
-        problems.append(f"unknown topology tag {spec.topology_tag!r}")
-    return problems
+        return ArchitectureSpec(self.depth, (input_dim, *self.hidden_widths, output_dim),
+                                self.topology_tag)
 
 
 def n_params(spec: ArchitectureSpec) -> int:
@@ -163,9 +158,6 @@ class DivergenceError(RuntimeError):
 
 def init_network(spec: ArchitectureSpec, seed: int) -> DenseNet:
     """Kaiming-normal (fan-in) initialization: std = sqrt(2 / w^(l-1))."""
-    problems = arch_diagnostics(spec)
-    if problems:
-        raise ValueError("invalid architecture spec: " + "; ".join(problems))
     rng = np.random.default_rng(seed)
     net = DenseNet(spec, np.empty(n_params(spec)))
     for l, w in enumerate(net.weights):

@@ -1,5 +1,6 @@
 """Proxy-score tests: hand cases, independent term recomputation, shape laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -57,14 +58,16 @@ class TestComputeAds:
         assert compute_ads(spec, params(alpha=-0.9, beta=-2.0, b=3.0, c=2.0)).value > 0
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            compute_ads(ArchitectureSpec(1, (4, 0, 3)), params())
+        # refused when built, so compute_ads never sees one
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            ArchitectureSpec(1, (4, 0, 3))
 
     def test_nonfinite_params_rejected(self):
-        p = params()
-        p.alpha = math.inf  # corrupt after construction
         with pytest.raises(ValueError, match="alpha"):
-            compute_ads(ArchitectureSpec(1, (4, 9, 3)), p)
+            params(alpha=math.inf)
+        p = params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.alpha = math.inf  # no corrupting after construction either
 
 
 class TestShapeProperties:

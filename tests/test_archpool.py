@@ -13,7 +13,7 @@ from adslab.archpool import (
     pool_to_manifest,
     save_manifest,
 )
-from adslab.nncore import ArchitectureSpec, arch_diagnostics
+from adslab.nncore import ArchitectureSpec
 
 
 def hidden(spec):
@@ -87,15 +87,15 @@ class TestGeneratePool:
 
 class TestValidateSpec:
     def test_ok(self):
-        assert arch_diagnostics(ArchitectureSpec(1, (784, 256, 10))) == []
+        assert ArchitectureSpec(1, (784, 256, 10)).widths == (784, 256, 10)
 
     def test_zero_width(self):
-        diags = arch_diagnostics(ArchitectureSpec(1, (784, 0, 10)))
-        assert any("width" in d for d in diags)
+        with pytest.raises(ValueError, match="width must be >= 1, got 0 at position 1"):
+            ArchitectureSpec(1, (784, 0, 10))
 
     def test_length_mismatch(self):
-        diags = arch_diagnostics(ArchitectureSpec(2, (784, 256, 10)))
-        assert any("length" in d for d in diags)
+        with pytest.raises(ValueError, match="widths length must be depth"):
+            ArchitectureSpec(2, (784, 256, 10))
 
 
 class TestManifest:

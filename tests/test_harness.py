@@ -56,7 +56,7 @@ def shared_config(root, out_name, workers=1):
     cfg = tiny_config(root, out_name=out_name, seeds=(0, 1), workers=workers)
     rot = ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0,
                        eval_fraction=0.5, calib_fraction=0.4)
-    return replace(cfg, scenarios=cfg.scenarios + [rot])
+    return replace(cfg, scenarios=cfg.scenarios + (rot,))
 
 
 def record_lines(out):
@@ -324,6 +324,27 @@ class TestRunExperiment:
         run_experiment(replace(cfg, workers=2))
         assert snapshot()[0] == before[0]
 
+    def test_a_crash_in_the_snapshot_rewrite_keeps_the_old_one(self, data_root, monkeypatch):
+        # every run rewrites experiment.ini; a torn snapshot would refuse every resume
+        cfg = tiny_config(str(data_root), out_name="exp_torn_ini", seeds=(0,))
+        out = run_experiment(cfg)
+        ini = os.path.join(out, "experiment.ini")
+        before = [open(os.path.join(out, n), "rb").read() for n in ("experiment.ini",
+                                                                      "records.jsonl")]
+
+        def torn_write(self, fh, *args):
+            fh.write("[experiment]\nseeds = ")
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(configparser.ConfigParser, "write", torn_write)
+            with pytest.raises(OSError, match="no space left"):
+                run_experiment(cfg)
+        assert open(ini, "rb").read() == before[0]
+        run_experiment(cfg)
+        assert [open(os.path.join(out, n), "rb").read()
+                for n in ("experiment.ini", "records.jsonl")] == before
+
     def test_second_run_on_a_directory_refused(self, data_root):
         cfg = tiny_config(str(data_root), out_name="exp_locked", seeds=(0,))
         os.makedirs(cfg.out_dir)
@@ -522,6 +543,65 @@ class TestCli:
             assert not os.path.exists(os.path.join(cfg.out_dir, "experiment.ini"))
         assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_pool_input_width_refused_before_the_directory_is_written(self, tmp_path,
+                                                                       data_root, capsys,
+                                                                       source):
+        # nets would train at the data's 784 features while ADS scored the pool's 64
+        cfg = tiny_config(str(data_root), out_name=f"exp_width_{source}", seeds=(0,))
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        save_config(cfg, good)
+        save_config(replace(cfg, pool=replace(cfg.pool, input_dim=64)), bad)
+        if source == "config":
+            run = ["run", "--config", str(bad), "--quiet"]
+        else:
+            manifest = tmp_path / "pool64.manifest"
+            assert cli_main(["gen-pool", "--config", str(bad), "--out", str(manifest)]) == 0
+            run = ["run", "--config", str(good), "--quiet", "--pool", str(manifest)]
+        capsys.readouterr()
+        assert cli_main(run) == 2
+        err = capsys.readouterr().err
+        assert "input_dim 64" in err and "input width 784 of scenario mf" in err, err
+        for name in ("experiment.ini", "pool.manifest"):
+            assert not os.path.exists(os.path.join(cfg.out_dir, name))
+        assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
+
+    def test_bad_workers_variable_refused_before_the_directory_is_written(
+            self, tmp_path, data_root, capsys, monkeypatch):
+        cfg = tiny_config(str(data_root), out_name="exp_bad_workers", seeds=(0,))
+        good = tmp_path / "good.ini"
+        save_config(cfg, good)
+        monkeypatch.setenv(harness.ENV_WORKERS, "0")
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(good), "--quiet"]) == 2
+        assert "ADSLAB_WORKERS must be an integer >= 1, got '0'" in capsys.readouterr().err
+        for name in ("experiment.ini", "pool.manifest"):
+            assert not os.path.exists(os.path.join(cfg.out_dir, name))
+        monkeypatch.delenv(harness.ENV_WORKERS)
+        assert cli_main(["run", "--config", str(good), "--quiet"]) == 0
+
+    def test_ads_pool_scores_every_manifest_entry(self, tmp_path):
+        from adslab.ads import compute_ads
+        from adslab.calib import CalibrationParams, save_profile
+        params = CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="p")
+        save_profile(params, tmp_path / "p.profile")
+        cfg = tiny_config(str(tmp_path))
+        save_config(replace(cfg, pool=replace(cfg.pool, depths=(3, 5))), tmp_path / "c.ini")
+        manifest, scores = tmp_path / "pool.manifest", tmp_path / "scores.csv"
+        assert cli_main(["gen-pool", "--config", str(tmp_path / "c.ini"),
+                         "--out", str(manifest)]) == 0
+        assert cli_main(["ads", "--params", str(tmp_path / "p.profile"), "--pool", str(manifest),
+                         "--out", str(scores)]) == 0
+        entries = load_manifest(manifest)
+        assert {spec.depth for _, spec in entries} == {3, 5}
+        lines = scores.read_text().splitlines()
+        assert lines[0] == "arch_id,ads," + ",".join(f"term_{l}" for l in range(1, 6))
+        assert len(lines) == 1 + len(entries)
+        for line, (arch_id, spec) in zip(lines[1:], entries):
+            cells = line.split(",")
+            assert cells[:2] == [arch_id, repr(compute_ads(spec, params).value)]
+            assert len(cells) == 2 + spec.depth
+
     def test_pool_that_cannot_be_generated_leaves_no_snapshot(self, tmp_path, data_root,
                                                                capsys):
         cfg = tiny_config(str(data_root), out_name="exp_bad_pool", seeds=(0,))
@@ -569,12 +649,12 @@ class TestCli:
 
     def test_correlate_insufficient_sample_exits_two(self, tmp_path, data_root, capsys):
         from adslab.calib import CalibrationParams, save_profile
-        cfg = tiny_config(str(data_root), out_name="exp_small", seeds=(0,))
-        cfg.pool = PoolConfig(depths=(3,), width_candidates=(32, 64),
-                              per_category_counts={"uniform": 2}, seed=1)
-        cfg.out_dir = str(tmp_path / "small_exp")
         # two archs cannot be calibrated on, so a preset scores them
-        cfg.profiles_dir, cfg.transfer_profile = str(tmp_path / "presets"), "preset"
+        cfg = replace(tiny_config(str(data_root), out_name="exp_small", seeds=(0,)),
+                      pool=PoolConfig(depths=(3,), width_candidates=(32, 64),
+                                      per_category_counts={"uniform": 2}, seed=1),
+                      out_dir=str(tmp_path / "small_exp"),
+                      profiles_dir=str(tmp_path / "presets"), transfer_profile="preset")
         os.makedirs(cfg.profiles_dir)
         save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
                      cfg.profile_path("preset"))
@@ -648,6 +728,17 @@ class TestAggregation:
         for arch_id, shift in zip(agg.arch_ids, agg.shift):
             assert len(by_arch[arch_id]) == 3
             assert shift == float(np.mean(by_arch[arch_id]))
+
+    def test_calibrate_defaults_to_the_scoring_fraction(self, tmp_path, data_root, capsys):
+        # the run scores with the first [calib] fraction, not the scenario's calib_fraction
+        cfg = replace(tiny_config(str(data_root), out_name="exp_calib_default", seeds=(0,)),
+                      calib_fractions=(1.0, 0.4))
+        out = run_experiment(cfg)
+        cfg_path, profile = tmp_path / "c.ini", tmp_path / "p.profile"
+        save_config(cfg, cfg_path)
+        assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(profile)]) == 0
+        assert profile.read_bytes() == open(os.path.join(out, "params", "mf_f100.profile"),
+                                            "rb").read()
 
     def test_calibrate_cli(self, tmp_path, data_root, capsys):
         cfg = tiny_config(str(data_root))

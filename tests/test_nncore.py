@@ -19,7 +19,6 @@ from adslab.nncore import (
     DenseNet,
     DivergenceError,
     Workspace,
-    arch_diagnostics,
     forward,
     init_network,
     init_optimizer,
@@ -143,20 +142,23 @@ class TestInitNetwork:
         net = init_network(spec, seed=0)
         assert [w.shape for w in net.weights] == [(7, 5), (3, 7), (2, 3)]
 
+    # a bad spec is refused when built, so no net of it can be initialized
     def test_rejects_zero_width(self):
-        spec = ArchitectureSpec(depth=1, widths=(4, 0, 2))
         with pytest.raises(ValueError, match="width"):
-            init_network(spec, seed=0)
+            ArchitectureSpec(depth=1, widths=(4, 0, 2))
 
     def test_rejects_length_mismatch(self):
-        spec = ArchitectureSpec(depth=2, widths=(4, 3, 2))
-        with pytest.raises(ValueError):
-            init_network(spec, seed=0)
+        with pytest.raises(ValueError, match="widths length"):
+            ArchitectureSpec(depth=2, widths=(4, 3, 2))
 
 
-def test_arch_diagnostics_collects_problems():
-    probs = arch_diagnostics(ArchitectureSpec(0, (4, 0, 3), "nope"))
-    assert len(probs) == 4  # depth, length, width, tag
+def test_spec_construction_names_every_problem():
+    with pytest.raises(ValueError) as err:
+        ArchitectureSpec(0, (4, 0, 3), "nope")
+    problems = str(err.value).split(": ", 1)[1].split("; ")
+    assert len(problems) == 4  # depth, length, width, tag
+    for named in ("depth must be >= 1", "widths length", "width must be >= 1", "'nope'"):
+        assert any(named in p for p in problems), named
 
 
 # ---------------------------------------------------------------------------
