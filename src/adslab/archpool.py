@@ -55,6 +55,10 @@ class PoolConfig:
             raise ValueError("width candidate pool must be non-empty")
         if any(c < 0 for c in self.per_category_counts.values()):
             raise ValueError("per-category counts must be >= 0")
+        unknown = [f"count_{tag}" for tag in self.per_category_counts if tag not in TOPOLOGY_TAGS]
+        if unknown:
+            raise ValueError(f"unknown category in {', '.join(unknown)}; the categories are "
+                             f"{', '.join(TOPOLOGY_TAGS)}")
         for name, values in (("depths", self.depths), ("widths", self.width_candidates),
                              ("input_dim", (self.input_dim,)), ("output_dim", (self.output_dim,))):
             if any(v < 1 for v in values):

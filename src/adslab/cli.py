@@ -100,8 +100,8 @@ def cmd_calibrate(args) -> int:
     datasets = harness.load_dataset_pool(cfg)
     scenario = make_scenario(spec, datasets, seed=cfg.seeds[0])
     fraction = args.fraction if args.fraction is not None else cfg.fractions_for(spec)[0]
-    params = harness.run_calibration(cfg, scenario, pool_entries(generate_pool(cfg.pool)),
-                                     fraction)
+    wanted = {harness.profile_id(sid, fraction): (scenario, fraction)}
+    (params,) = harness.run_calibration(cfg, wanted, pool_entries(generate_pool(cfg.pool))).values()
     save_profile(params, args.out)
     print(f"alpha={params.alpha:.4f} beta={params.beta:.4f} "
           f"b={params.b:.4f} c={params.c:.4f} -> {args.out}")

@@ -5,9 +5,10 @@ gradient, then trains task 2 while recording per-layer optimization
 traces: displacement, trajectory path length, relative weight change,
 and the cosine alignment between the frozen old-task gradient and the
 step-wise new-task gradient. Finally measures the realized logit shift
-on held-out task-1 data. The end of task 1 (``Task1``) depends only on
-the architecture, the seed and the scenario bytes that ``task1_digest``
-covers, so runs whose digests match can share one.
+on held-out task-1 data. ``train_task1`` trains and measures task 1, and
+``run_scenario`` runs the rest from its result (``Task1``). That result
+depends only on the architecture, the seed and the scenario bytes that
+``task1_digest`` covers, so runs whose digests match share one.
 
 Path length discretizes the trajectory integral over coarse segments:
 the sum of Frobenius displacements between evenly spaced weight
@@ -341,14 +342,15 @@ def train_task1(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     return Task1(net, acc, ece_before, f_t, summarize_gold(net, scenario.calib_subset))
 
 
+# arch is otherwise unused: perfbench/spans.py reads the four leading positionals
 def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
-                 arch_id: str = "arch", eval_cap: int | None = None,
-                 task1: Task1 | DivergenceError | None = None) -> RunRecord:
-    """Full instrumented pipeline for one (architecture, scenario, seed) run.
+                 arch_id: str = "arch", eval_cap: int | None = None, *,
+                 task1: Task1 | DivergenceError) -> RunRecord:
+    """Task 2 and the measurements of one (architecture, scenario, seed) run.
 
-    ``task1`` is this run's end of task 1 from ``train_task1``, when runs
-    share it; without it the run trains its own. A DivergenceError in its
-    place is that shared task 1's divergence, and flags the run invalid.
+    ``task1`` is this run's end of task 1 from ``train_task1``. A
+    DivergenceError in its place is task 1's divergence, and flags the run
+    invalid.
     """
     t0 = time.time()
     task1_eval = scenario.task1_eval.take(slice(eval_cap))
@@ -357,9 +359,7 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     note = ""
     valid = True
     try:
-        if task1 is None:
-            task1 = train_task1(arch, scenario, cfg, arch_id, eval_cap)
-        elif isinstance(task1, DivergenceError):
+        if isinstance(task1, DivergenceError):
             raise task1.with_traceback(None)
         net = task1.net_t.copy()  # net_t stays frozen; the recorder reads its weights
         recorder = TraceRecorder(task1.net_t, task1.gold, cfg)

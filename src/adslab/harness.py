@@ -5,11 +5,12 @@ An experiment directory is fully determined by its config: the pool
 manifest, fitted parameter profiles, the run-record stream, and every
 CSV/SVG report are pure functions of (config, seeds, dataset bytes).
 Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
-resume. The pending runs of one architecture and seed whose adjacent
-scenarios share a task-1 digest are one job, which trains task 1 once and
-returns its records. A job's records are appended together, in key order,
-arch-major (arch, seed, scenario), once it and every job before it are
-complete, whatever the worker count. Every aggregate is computed from
+resume. ``plan_jobs`` makes calibration and pool runs into jobs alike: the
+runs of one arch and seed whose scenarios share a task-1 digest, in any
+order, are one job, which trains task 1 once and returns its records. A
+job's records are appended together, jobs in the order of their first key
+(arch-major), once every job before it is complete, whatever the worker
+count. Every aggregate is computed from
 the key-sorted stream, so the record order never changes a reported
 number. ``ExperimentConfig`` is frozen and checked when built (change it
 with ``dataclasses.replace``), and state files are replaced atomically.
@@ -40,13 +41,10 @@ from .clrun import (TrainConfig, append_records, read_records, run_scenario, tas
                     train_task1, write_atomic)
 from .datasets import Scenario, ScenarioSpec, load_cifar10, load_idx, make_scenario, sample_subset
 from .nncore import ArchitectureSpec, DivergenceError
-from .synthdata import IDX_FILENAMES
+from .synthdata import CIFAR_TEST_BATCH, CIFAR_TRAIN_BATCHES, IDX_FILENAMES
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
 ENV_WORKERS = "ADSLAB_WORKERS"
-
-CIFAR_TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
-CIFAR_TEST_BATCH = "test_batch.bin"
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,7 @@ class ExperimentConfig:
         train_config(self, steps=1, seed=0)  # TrainConfig's own checks of the shared fields
         for name, value, least in (("seeds", min(self.seeds), 0), ("pool seed", self.pool.seed, 0),
                                    ("workers", self.workers, 1), ("eval_cap", self.eval_cap, 1),
+                                   ("calib n_archs", self.n_calib_archs, 1),
                                    ("n_perm", self.n_perm, stats.MIN_PERM),
                                    ("n_boot", self.n_boot, stats.MIN_BOOT)):
             if value < least:
@@ -215,11 +214,14 @@ def load_config(path) -> ExperimentConfig:
                     raise ValueError(f"[{section}]: {exc}") from None
                 continue
             if section == "pool":
-                if "per_category" in items:
-                    values["per_category_counts"] = _category_counts(
-                        _parse(section, "per_category", int, items.pop("per_category")))
                 counts = {k[len("count_"):]: _parse(section, k, int, items.pop(k))
                           for k in list(items) if k.startswith("count_")}
+                if "per_category" in items:
+                    if counts:
+                        raise ValueError(f"[{section}] per_category and count_<tag> keys "
+                                         "both set the pool's counts; keep one of them")
+                    counts = _category_counts(
+                        _parse(section, "per_category", int, items.pop("per_category")))
                 if counts:
                     values["per_category_counts"] = counts
             names = {key: name for name, (sec, key) in INI_KEYS.items() if sec == section}
@@ -335,24 +337,42 @@ def pick_calibration_archs(pool: list, n: int) -> list:
     return [pool[i] for i in idx]
 
 
-def run_calibration(cfg: ExperimentConfig, scenario: Scenario,
-                    pool_entries: list, fraction: float) -> CalibrationParams:
-    """Train the calibration architectures on the data subset and fit params."""
-    calib_sc = calibration_scenario(scenario, fraction)
-    steps = steps_for(cfg, len(calib_sc.task1_train))
-    entries = pick_calibration_archs(pool_entries, cfg.n_calib_archs)
-    runs = []
-    for arch_id, arch in entries:
-        tc = train_config(cfg, steps, cfg.seeds[0])
-        tc = replace(tc, trace_every=1)  # dense cosine sampling for the depth fit
-        runs.append(run_scenario(arch, calib_sc, tc,
-                                 arch_id=f"calib_{arch_id}", eval_cap=min(cfg.eval_cap, 512)))
-    return calibrate_params(runs, source=f"{scenario.scenario_id}@{fraction}",
-                            params_id=profile_id(scenario.scenario_id, fraction))
+def plan_jobs(cfg: ExperimentConfig, keys: list, scenarios: dict, arch_by_id: dict) -> tuple:
+    """(groups, job): ``keys`` grouped by (arch, seed, task-1 digest of ``scenarios[key[1]]``)
+    in the order of each group's first key, and the function that runs a group."""
+    digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault((key[0], key[2], digests[key[1]]), []).append(key)
+
+    def job(keys: list) -> list:
+        arch_id, scenario_id, seed = keys[0]
+        # the runs of a job share task 1's length, so its step count
+        steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
+        return run_job(arch_by_id[arch_id], [scenarios[sid] for _, sid, _ in keys],
+                       train_config(cfg, steps, seed), arch_id=arch_id, eval_cap=cfg.eval_cap)
+
+    return list(groups.values()), job
+
+
+def run_calibration(cfg: ExperimentConfig, wanted: dict, pool_entries: list) -> dict:
+    """``{profile id: (scenario, fraction)}`` to ``{profile id: params}`` fitted on
+    that subset's calibration runs, planned as pool runs are and run in this thread."""
+    archs = [(f"calib_{arch_id}", arch)
+             for arch_id, arch in pick_calibration_archs(pool_entries, cfg.n_calib_archs)]
+    keys = [(arch_id, pid, cfg.seeds[0]) for pid in wanted for arch_id, _ in archs]
+    subsets = {pid: calibration_scenario(sc, fraction) for pid, (sc, fraction) in wanted.items()}
+    # dense cosine sampling for the depth fit
+    groups, job = plan_jobs(replace(cfg, trace_every=1, eval_cap=min(cfg.eval_cap, 512)),
+                            keys, subsets, dict(archs))
+    runs = dict(zip(itertools.chain(*groups), itertools.chain(*map(job, groups))))
+    return {pid: calibrate_params([runs[(arch_id, pid, cfg.seeds[0])] for arch_id, _ in archs],
+                                  source=f"{sc.scenario_id}@{fraction}", params_id=pid)
+            for pid, (sc, fraction) in wanted.items()}
 
 
 def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
-    """Every pool run's key, arch-major: the runs that may share a task 1 sit together."""
+    """Every pool run's key, arch-major (arch, seed, scenario)."""
     return [(arch_id, spec.scenario_id, seed) for arch_id, _ in pool_entries
             for seed in cfg.seeds for spec in cfg.scenarios]
 
@@ -362,14 +382,12 @@ def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig, arch_id: 
     """The records of one architecture and seed on scenarios whose task 1 is
     byte-identical, in scenario order.
 
-    Task 1 trains once and its end is shared; a job of one run trains it
-    inside ``run_scenario``. A task-1 divergence flags every run invalid."""
-    task1 = None
-    if len(scenarios) > 1:
-        try:
-            task1 = train_task1(arch, scenarios[0], cfg, arch_id, eval_cap)
-        except DivergenceError as exc:
-            task1 = exc
+    Task 1 trains once and its end is shared; its divergence flags every run
+    invalid."""
+    try:
+        task1 = train_task1(arch, scenarios[0], cfg, arch_id, eval_cap)
+    except DivergenceError as exc:
+        task1 = exc
     return [run_scenario(arch, scenario, cfg, arch_id=arch_id, eval_cap=eval_cap, task1=task1)
             for scenario in scenarios]
 
@@ -453,33 +471,21 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         if pool is not None:
             save_manifest(pool, manifest_path, seed=cfg.pool.seed)
 
-        # calibration per scenario, unless a transfer preset scores every scenario;
-        # a missing scoring profile fails here, before the pool phase
+        # calibration of every missing profile, unless a transfer preset scores
+        # every scenario; a missing scoring profile fails here, before the pool phase
+        wanted = {profile_id(s.scenario_id, f): (scenarios[s.scenario_id], f)
+                  for s in cfg.scenarios for f in cfg.fractions_for(s) if not cfg.transfer_profile}
+        missing = {pid: v for pid, v in wanted.items() if not os.path.exists(cfg.profile_path(pid))}
+        for pid, params in run_calibration(cfg, missing, entries).items():
+            save_profile(params, cfg.profile_path(pid))
         for spec in cfg.scenarios:
-            if not cfg.transfer_profile:
-                for fraction in cfg.fractions_for(spec):
-                    path = cfg.profile_path(profile_id(spec.scenario_id, fraction))
-                    if not os.path.exists(path):
-                        save_profile(run_calibration(cfg, scenarios[spec.scenario_id],
-                                                     entries, fraction), path)
             load_profile(cfg.scoring_profile_path(spec))
 
         # full pool runs, resumable by key, one job per shared task 1
         _drop_torn_tail(records_path)
         done = {tuple(r.key) for r in read_records(records_path)}
         pending = [key for key in experiment_run_keys(cfg, entries) if key not in done]
-        digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
-        arch_by_id = dict(entries)
-
-        def job(keys: list) -> list:
-            arch_id, scenario_id, seed = keys[0]
-            # the runs of a job share task 1's length, so its step count
-            steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
-            return run_job(arch_by_id[arch_id], [scenarios[sid] for _, sid, _ in keys],
-                           train_config(cfg, steps, seed), arch_id=arch_id, eval_cap=cfg.eval_cap)
-
-        groups = [list(keys) for _, keys in
-                  itertools.groupby(pending, key=lambda k: (k[0], k[2], digests[k[1]]))]
+        groups, job = plan_jobs(cfg, pending, scenarios, dict(entries))
         # one worker maps in this thread (the executor starts no thread until
         # submit); more map on the pool, whose results come back in job order
         with ThreadPoolExecutor(max_workers=workers) as ex:

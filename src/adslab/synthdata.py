@@ -1,8 +1,9 @@
-"""Synthetic MNIST-family stand-in generator.
+"""Synthetic stand-in generator for the MNIST family and CIFAR-10.
 
-Writes class-structured 28x28 grayscale image sets in the standard IDX
-binary layout so the whole ingestion path (binary parsing, scenarios,
-training) can run offline at desk scale. Each named dataset gets its own
+Writes class-structured image sets in each dataset's binary layout, so
+the whole ingestion path (binary parsing, scenarios, training) can run
+offline at desk scale: 28x28 grayscale in IDX files, and for ``cifar10``
+32x32 RGB in CIFAR-10 binary batches. Each named dataset gets its own
 class prototypes: smooth random fields plus per-sample jitter and noise,
 separable enough for small ReLU nets to fit within a couple of epochs.
 """
@@ -21,6 +22,9 @@ IDX_FILENAMES = {
     ("test", "labels"): "t10k-labels-idx1-ubyte",
 }
 
+CIFAR_TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
+CIFAR_TEST_BATCH = "test_batch.bin"
+
 # distinct prototype seeds per stand-in dataset name
 NAME_SEEDS = {"mnist": 101, "fashion_mnist": 202, "cifar10": 303}
 
@@ -38,30 +42,33 @@ def _bilinear_upsample(coarse: np.ndarray, side: int) -> np.ndarray:
     return rows
 
 
-def class_prototypes(seed: int, n_classes: int = 10, side: int = 28) -> np.ndarray:
+def class_prototypes(seed: int, n_classes: int = 10, shape: tuple = (28, 28)) -> np.ndarray:
+    """(n_classes, *shape) smooth fields in [0.1, 0.9]; a (3, side, side) shape
+    stacks three independent planes."""
     rng = np.random.default_rng(seed)
-    protos = np.empty((n_classes, side, side))
+    side = shape[-1]
+    protos = np.empty((n_classes, *shape))
     for c in range(n_classes):
-        coarse = rng.standard_normal((7, 7))
-        field = _bilinear_upsample(coarse, side)
-        field = (field - field.min()) / (field.max() - field.min() + 1e-12)
-        protos[c] = 0.1 + 0.8 * field
+        for plane in protos[c].reshape(-1, side, side):
+            coarse = rng.standard_normal((7, 7))
+            field = _bilinear_upsample(coarse, side)
+            field = (field - field.min()) / (field.max() - field.min() + 1e-12)
+            plane[...] = 0.1 + 0.8 * field
     return protos
 
 
-def synth_images(name: str, split: str, n: int, seed: int,
-                 noise: float = 0.06, max_shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (uint8 images (n, 28, 28), labels (n,)) for one split."""
+def synth_images(name: str, split: str, n: int, seed: int, noise: float = 0.06,
+                 max_shift: int = 1, shape: tuple = (28, 28)) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (uint8 images (n, *shape), labels (n,)) for one split."""
     proto_seed = NAME_SEEDS.get(name, sum(name.encode()))
-    protos = class_prototypes(proto_seed)
-    side = protos.shape[1]
+    protos = class_prototypes(proto_seed, shape=shape)
     rng = np.random.default_rng(np.random.SeedSequence([seed, proto_seed, 0 if split == "train" else 1]))
     labels = rng.integers(0, len(protos), size=n)
     shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-    eps = rng.standard_normal((n, side, side)) * noise
-    images = np.empty((n, side, side))
+    eps = rng.standard_normal((n, *shape)) * noise
+    images = np.empty((n, *shape))
     for i in range(n):
-        img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1)) + eps[i]
+        img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(-2, -1)) + eps[i]
         images[i] = np.clip(img, 0.0, 1.0)
     return np.round(images * 255).astype(np.uint8), labels.astype(np.uint8)
 
@@ -76,10 +83,30 @@ def write_idx_pair(images: np.ndarray, labels: np.ndarray, images_path, labels_p
         fh.write(labels.tobytes())
 
 
+def write_cifar_batch(images: np.ndarray, labels: np.ndarray, path) -> None:
+    """One CIFAR-10 binary batch: per image a label byte, then its 1024 R, G and B bytes."""
+    with open(path, "wb") as fh:
+        fh.write(np.hstack([labels[:, None], images.reshape(len(images), 3 * 32 * 32)]).tobytes())
+
+
 def generate_dataset(root, name: str, n_train: int = 6000, n_test: int = 1500,
                      seed: int = 0) -> dict:
-    """Write a full synthetic IDX quartet under root/<name>/; returns the paths."""
+    """Write a synthetic dataset under root/<name>/ and return its paths: five
+    train batches and a test batch for ``cifar10``, else an IDX quartet."""
     out_dir = os.path.join(str(root), name)
+    if name == "cifar10":
+        if n_train < len(CIFAR_TRAIN_BATCHES):
+            raise ValueError(f"cifar10 needs n_train >= {len(CIFAR_TRAIN_BATCHES)}, one image "
+                             f"per train batch, got {n_train}")
+        os.makedirs(out_dir, exist_ok=True)
+        paths = {"train": [os.path.join(out_dir, b) for b in CIFAR_TRAIN_BATCHES],
+                 "test": [os.path.join(out_dir, CIFAR_TEST_BATCH)]}
+        for split, n in (("train", n_train), ("test", n_test)):
+            images, labels = synth_images(name, split, n, seed, shape=(3, 32, 32))
+            batches = np.array_split(np.arange(n), len(paths[split]))
+            for path, rows in zip(paths[split], batches):
+                write_cifar_batch(images[rows], labels[rows], path)
+        return paths
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for split, n in (("train", n_train), ("test", n_test)):

@@ -19,13 +19,14 @@ from adslab import stats
 from adslab.ads import compute_ads
 from adslab.archpool import PoolConfig, load_manifest, _category_counts
 from adslab.calib import fit_depth_profile, fit_width_exponents, load_profile, pooled_traces
-from adslab.clrun import RunRecord, TrainConfig, read_records, run_scenario
+from adslab.clrun import RunRecord, TrainConfig, read_records
 from adslab.datasets import ScenarioSpec, make_scenario
 from adslab.harness import (
     ExperimentConfig,
     aggregate_scenario,
     load_named_dataset,
     run_experiment,
+    run_job,
     selector_baseline,
 )
 from adslab.nncore import (
@@ -128,8 +129,8 @@ def depth10_uniform_runs(lab_root):
         for seed in (0, 1, 2):
             cfg = TrainConfig(steps_per_task=steps, batch_size=128, trace_every=1,
                               path_segments=12, seed=seed)
-            runs.append(run_scenario(arch, scenario, cfg,
-                                     arch_id=f"u{width}", eval_cap=500))
+            runs.append(run_job(arch, [scenario], cfg,
+                                arch_id=f"u{width}", eval_cap=500)[0])
     print(f"\n[depth-10 uniform batch: {time.time() - t0:.0f}s]")
     return runs
 
@@ -387,7 +388,7 @@ def test_transfer_preset_zero_shot(desk_mf, lab_root):
     shifts, scores = [], []
     for i, arch in enumerate(generate_pool(pool)):
         cfg = TrainConfig(steps_per_task=steps, batch_size=128, trace_every=4, seed=0)
-        rec = run_scenario(arch, scenario, cfg, arch_id=f"fm{i}", eval_cap=500)
+        rec = run_job(arch, [scenario], cfg, arch_id=f"fm{i}", eval_cap=500)[0]
         shifts.append(rec.observed_shift)
         scores.append(compute_ads(arch, preset).value)
     rs = stats.spearman(scores, shifts)

@@ -16,12 +16,12 @@ from adslab.clrun import (
     derive_seed,
     measure_logit_shift,
     read_records,
-    run_scenario,
     summarize_gold,
     train_task,
     unit_flatten,
 )
 from adslab.datasets import Dataset, Scenario, ScenarioSpec, make_scenario
+from adslab.harness import run_job
 from adslab.nncore import (
     ArchitectureSpec,
     forward,
@@ -156,7 +156,7 @@ class TestRunScenario:
     def run(self, seed=0, scenario=None):
         cfg = TrainConfig(steps_per_task=12, batch_size=64, lr=1e-2,
                           trace_every=1, seed=seed)
-        return run_scenario(ARCH, scenario or toy_scenario(), cfg, arch_id="a0")
+        return run_job(ARCH, [scenario or toy_scenario()], cfg, arch_id="a0")[0]
 
     def test_three_eval_forwards(self, monkeypatch):
         # task-1 eval logits of the frozen and the final net are each computed
@@ -222,7 +222,7 @@ class TestRunScenario:
                    seed=derive_seed(cfg.seed, "a0", "task1"))
         before = [w.copy() for w in net.weights]
 
-        rec = run_scenario(ARCH, scenario, cfg, arch_id="a0")
+        rec = run_job(ARCH, [scenario], cfg, arch_id="a0")[0]
         net2 = init_network(spec, derive_seed(cfg.seed, "a0", "init"))
         state2 = init_optimizer(net2, cfg.lr, cfg.momentum, cfg.weight_decay)
         train_task(net2, state2, scenario.task1_train, cfg,
@@ -252,7 +252,7 @@ class TestDivergenceGuard:
     def test_exploding_lr_flags_run_without_crashing(self):
         cfg = TrainConfig(steps_per_task=30, batch_size=64, lr=1e6, momentum=0.9,
                           trace_every=1, seed=0)
-        rec = run_scenario(ARCH, toy_scenario(), cfg, arch_id="boom")
+        rec = run_job(ARCH, [toy_scenario()], cfg, arch_id="boom")[0]
         assert rec.valid is False
         assert "non-finite" in rec.note
         assert math.isnan(rec.observed_shift)
@@ -269,7 +269,7 @@ class TestDivergenceGuard:
 
         monkeypatch.setattr(clrun, "loss_and_backward", nan_grads)
         cfg = TrainConfig(steps_per_task=3, batch_size=64, lr=1e-2, seed=0)
-        rec = run_scenario(ARCH, toy_scenario(), cfg, arch_id="nan")
+        rec = run_job(ARCH, [toy_scenario()], cfg, arch_id="nan")[0]
         assert rec.valid is False
         assert "non-finite gradient" in rec.note
         assert rec.layer_traces == []

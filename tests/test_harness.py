@@ -15,16 +15,21 @@ import pytest
 
 from adslab import clrun, harness
 from adslab.archpool import PoolConfig, _category_counts, load_manifest
+from adslab.calib import save_profile
 from adslab.cli import main as cli_main
-from adslab.clrun import derive_seed, read_records, run_scenario, task1_digest
+from adslab.clrun import derive_seed, read_records, task1_digest
 from adslab.datasets import ScenarioSpec, make_scenario
 from adslab.harness import (
     ExperimentConfig,
     dataset_paths,
     emit_report,
+    experiment_run_keys,
     load_config,
     load_dataset_pool,
     load_named_dataset,
+    pick_calibration_archs,
+    profile_id,
+    run_calibration,
     run_experiment,
     run_job,
     save_config,
@@ -59,6 +64,20 @@ def shared_config(root, out_name, workers=1):
     return replace(cfg, scenarios=cfg.scenarios + (rot,))
 
 
+def count_task1_trainings(monkeypatch) -> collections.Counter:
+    """Patch clrun.train_task to count task-1 trainings by their shuffle seed."""
+    task1_seeds = collections.Counter()
+    original = clrun.train_task
+
+    def counting(net, state, dataset, cfg, seed, recorder=None):
+        if recorder is None:
+            task1_seeds[seed] += 1
+        return original(net, state, dataset, cfg, seed=seed, recorder=recorder)
+
+    monkeypatch.setattr(clrun, "train_task", counting)
+    return task1_seeds
+
+
 def record_lines(out):
     """records.jsonl in file order, without the wall-clock field."""
     lines = []
@@ -67,6 +86,15 @@ def record_lines(out):
         d.pop("wall_time")
         lines.append(json.dumps(d, sort_keys=True))
     return lines
+
+
+def stand_alone_line(cfg, scenario, arch, arch_id, seed):
+    """The records.jsonl line, without wall_time, of a run made as a job of its own."""
+    tc = train_config(cfg, steps_for(cfg, len(scenario.task1_train)), seed)
+    (rec,) = run_job(arch, [scenario], tc, arch_id=arch_id, eval_cap=cfg.eval_cap)
+    d = json.loads(rec.to_json())
+    d.pop("wall_time")
+    return json.dumps(d, sort_keys=True)
 
 
 def reports(out):
@@ -379,30 +407,56 @@ class TestSharedTask1:
         assert keys == [(a, seed, sid) for a in sorted(arch_by_id) for seed in cfg.seeds
                         for sid in ("mf", "rot")]
         for line, (arch_id, seed, sid) in zip(lines, keys):
-            sc = scenarios[sid]
-            tc = train_config(cfg, steps_for(cfg, len(sc.task1_train)), seed)
-            alone = run_scenario(arch_by_id[arch_id], sc, tc, arch_id=arch_id,
-                                 eval_cap=cfg.eval_cap)
-            d = json.loads(alone.to_json())
-            d.pop("wall_time")
-            assert json.dumps(d, sort_keys=True).encode() == line.encode()
+            assert stand_alone_line(cfg, scenarios[sid], arch_by_id[arch_id], arch_id,
+                                    seed).encode() == line.encode()
 
-    def test_task1_trains_once_per_arch_and_seed(self, data_root, monkeypatch):
+    def test_task1_trains_once_per_arch_and_seed(self, data_root, monkeypatch, tmp_path):
         cfg = shared_config(str(data_root), "exp_shared_count")
-        task1_seeds = collections.Counter()
-        original = clrun.train_task
-
-        def counting(net, state, dataset, cfg, seed, recorder=None):
-            if recorder is None:
-                task1_seeds[seed] += 1
-            return original(net, state, dataset, cfg, seed=seed, recorder=recorder)
-
-        monkeypatch.setattr(clrun, "train_task", counting)
+        task1_seeds = count_task1_trainings(monkeypatch)
         out = run_experiment(cfg)
         pool = load_manifest(os.path.join(out, "pool.manifest"))
         # calibration runs train under their own arch ids, so their seeds differ
         assert [task1_seeds[derive_seed(seed, arch_id, "task1")]
                 for arch_id, _ in pool for seed in cfg.seeds] == [1] * len(pool) * 2
+        # the calibration subsets of mf and rot are byte-identical too
+        calib = pick_calibration_archs(pool, cfg.n_calib_archs)
+        assert [task1_seeds[derive_seed(cfg.seeds[0], f"calib_{arch_id}", "task1")]
+                for arch_id, _ in calib] == [1] * len(calib)
+        assert sum(task1_seeds.values()) == len(pool) * 2 + len(calib)
+        monkeypatch.undo()
+        # each profile is the one its scenario's calibration alone fits
+        datasets = load_dataset_pool(cfg)
+        for spec in cfg.scenarios:
+            pid = profile_id(spec.scenario_id, spec.calib_fraction)
+            sc = make_scenario(spec, datasets, seed=cfg.seeds[0])
+            alone = run_calibration(replace(cfg, scenarios=(spec,)),
+                                    {pid: (sc, spec.calib_fraction)}, pool)[pid]
+            save_profile(alone, tmp_path / f"{pid}.profile")
+            assert (tmp_path / f"{pid}.profile").read_bytes() == \
+                open(cfg.profile_path(pid), "rb").read()
+
+    def test_sharing_ignores_scenario_order(self, data_root, monkeypatch):
+        # split stands between mf and rot, whose task 1 is byte-identical
+        cfg = shared_config(str(data_root), "exp_shared_order")
+        split = ScenarioSpec("split", "split", dataset="mnist", classes_a=(0, 1, 2, 3, 4),
+                             classes_b=(5, 6, 7, 8, 9), eval_fraction=0.5, calib_fraction=0.4)
+        cfg = replace(cfg, scenarios=(cfg.scenarios[0], split, cfg.scenarios[1]))
+        task1_seeds = count_task1_trainings(monkeypatch)
+        out = run_experiment(cfg)
+        monkeypatch.undo()
+        arch_by_id = dict(load_manifest(os.path.join(out, "pool.manifest")))
+        assert [task1_seeds[derive_seed(seed, arch_id, "task1")]
+                for arch_id in arch_by_id for seed in cfg.seeds] == [2] * len(arch_by_id) * 2
+        datasets = load_dataset_pool(cfg)
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+                     for s in cfg.scenarios}
+        lines = record_lines(out)
+        keys = [(d["arch_id"], d["scenario_id"], d["seed"]) for d in map(json.loads, lines)]
+        assert sorted(keys) == sorted(experiment_run_keys(cfg, list(arch_by_id.items())))
+        assert len(set(keys)) == len(keys)
+        for line, (arch_id, sid, seed) in zip(lines, keys):
+            assert stand_alone_line(cfg, scenarios[sid], arch_by_id[arch_id], arch_id,
+                                    seed) == line
 
     def test_worker_count_gives_identical_record_lines(self, data_root):
         out1 = run_experiment(shared_config(str(data_root), "exp_shared_w1", workers=1))
@@ -500,6 +554,22 @@ class TestCli:
         assert cli_main(["gen-pool", "--config", str(tmp_path / "c.ini"), "--out", str(m2)]) == 0
         assert m1.read_text() == m2.read_text()
 
+    def test_make_data_cifar10_writes_loadable_batches(self, tmp_path, capsys):
+        root = str(tmp_path / "d")
+        assert cli_main(["make-data", "--out", root, "--names", "cifar10,mnist",
+                         "--n-train", "60", "--n-test", "25"]) == 0
+        datasets = {name: load_named_dataset(root, name) for name in ("cifar10", "mnist")}
+        for split, n in (("train", 60), ("test", 25)):
+            ds = datasets["cifar10"][split]
+            assert ds.images.shape == (n, 784)
+            assert 0 <= ds.labels.min() and ds.labels.max() < 10
+        sc = make_scenario(ScenarioSpec("cm", "transfer", src="cifar10", dst="mnist"),
+                           datasets, seed=0)
+        assert (sc.input_dim, sc.n_classes) == (784, 10)
+        # an empty train batch would not load
+        assert cli_main(["make-data", "--out", root, "--names", "cifar10", "--n-train", "4"]) == 2
+        assert "n_train >= 5" in capsys.readouterr().err
+
     def test_ads_widths_prints_terms(self, tmp_path, capsys):
         from adslab.calib import CalibrationParams, save_profile
         save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="p"),
@@ -530,7 +600,9 @@ class TestCli:
                                   ("experiment", "eval_cap", "0"), ("calib", "fractions", "1.5"),
                                   ("experiment", "seeds", "-1"), ("experiment", "seeds", "0,0"),
                                   ("calib", "fractions", "0.4,0.401"),
-                                  ("pool", "widths", "0,16,24")]:
+                                  ("pool", "widths", "0,16,24"), ("calib", "n_archs", "0"),
+                                  ("pool", "count_unifrom", "5"),
+                                  ("pool", "per_category", "2")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad

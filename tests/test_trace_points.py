@@ -55,13 +55,16 @@ def test_trace_points_fire_in_a_run():
                         blobs(50), blobs(200), blobs(30), blobs(50), n_classes=3, seed=0)
     arch = ArchitectureSpec(depth=2, widths=(12, 32, 24, 3), topology_tag="random")
     cfg = TrainConfig(steps_per_task=7, batch_size=64, lr=1e-2, seed=0)
-    tracer = SPANS["Tracer"]()
+    # memory is tracked as `--trace 1` tracks it with one worker: per run_scenario
+    # call, from the arch and scenario it is passed
+    tracer = SPANS["Tracer"](track_memory=True)
     tracer.install()
     try:
-        record = harness.run_scenario(arch, scenario, cfg, arch_id="a0")
+        (record,) = harness.run_job(arch, [scenario], cfg, arch_id="a0")
     finally:
         tracer.uninstall()
     assert record.valid
+    assert len(tracer.peak_mem_over_weights) == 1 and tracer.peak_mem_over_weights[0] > 0
     by_id = {s.sid: s for s in tracer.spans}
 
     def under(name, parent):
