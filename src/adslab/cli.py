@@ -18,7 +18,7 @@ from .calib import load_profile, save_profile
 from .datasets import make_scenario
 from .harness import emit_report, load_config, run_experiment
 from .nncore import ArchitectureSpec
-from .synthdata import generate_dataset
+from .synthdata import CIFAR_TRAIN_BATCHES, generate_dataset
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -73,8 +73,16 @@ def build_parser() -> _Parser:
 
 
 def cmd_make_data(args) -> int:
-    for name in args.names.split(","):
-        name = name.strip()
+    names = [name.strip() for name in args.names.split(",")]
+    # every name's counts are checked before any file is written: the loaders
+    # refuse an empty split, and a CIFAR-10 train set needs one image per batch
+    if not all(names):
+        raise ValueError(f"--names lists an empty name: {args.names!r}")
+    least_train = len(CIFAR_TRAIN_BATCHES) if "cifar10" in names else 1
+    for flag, n, least in (("--n-train", args.n_train, least_train), ("--n-test", args.n_test, 1)):
+        if n < least:
+            raise ValueError(f"{flag} must be >= {least} for {', '.join(names)}, got {n}")
+    for name in names:
         generate_dataset(args.out, name, n_train=args.n_train,
                          n_test=args.n_test, seed=args.seed)
         print(f"wrote {name} under {os.path.join(args.out, name)}")

@@ -10,12 +10,15 @@ runs of one arch and seed whose scenarios share a task-1 digest, in any
 order, are one job, which trains task 1 once and returns its records. A
 job's records are appended together, jobs in the order of their first key
 (arch-major), once every job before it is complete, whatever the worker
-count. Every aggregate is computed from
-the key-sorted stream, so the record order never changes a reported
-number. ``ExperimentConfig`` is frozen and checked when built (change it
-with ``dataclasses.replace``), and state files are replaced atomically.
-A resume under a changed config is refused, and one run at a time may
-use a directory.
+count. Every aggregate is computed from the key-sorted stream, so the
+record order never changes a reported number. Jobs run one at a time in
+the calling thread: by default each drives a BLAS that runs one thread per
+CPU, so jobs on worker threads would only oversubscribe the CPUs. The BLAS
+thread count moves record bits; the worker count moves none.
+``ExperimentConfig`` is frozen and checked when built (change it with
+``dataclasses.replace``), and state files are replaced atomically. A
+resume under a changed config is refused, and one run at a time may use
+a directory.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 import os
 import typing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -312,21 +314,23 @@ def train_config(cfg: ExperimentConfig, steps: int, seed: int) -> TrainConfig:
     )
 
 
-def calibration_scenario(scenario: Scenario, fraction: float) -> Scenario:
-    """Shrink both task train sets to the calibration fraction.
-
-    Task 1 reuses the scenario's carved calibration subset when the
-    fraction matches; task 2 subsamples with a seed tied to the scenario.
-    """
+def calibration_task1(scenario: Scenario, fraction: float) -> Scenario:
+    """The scenario with task 1's train set shrunk to the calibration fraction:
+    the scenario's carved calibration subset when the fraction matches, else a
+    subsample with a seed tied to the scenario."""
     if abs(fraction - scenario.spec.calib_fraction) < 1e-12:
-        t1 = scenario.calib_subset
-    else:
-        t1 = sample_subset(scenario.task1_train, fraction, scenario.seed + 7001)
+        return replace(scenario, task1_train=scenario.calib_subset)
+    return replace(scenario, task1_train=sample_subset(scenario.task1_train, fraction,
+                                                       scenario.seed + 7001))
+
+
+def calibration_task2(scenario: Scenario, fraction: float) -> Scenario:
+    """The scenario with task 2's train set subsampled to the calibration
+    fraction, with a seed tied to the scenario."""
     if fraction >= 1.0:
-        t2 = scenario.task2_train
-    else:
-        t2 = sample_subset(scenario.task2_train, fraction, scenario.seed + 7002)
-    return replace(scenario, task1_train=t1, task2_train=t2)
+        return scenario
+    return replace(scenario, task2_train=sample_subset(scenario.task2_train, fraction,
+                                                       scenario.seed + 7002))
 
 
 def pick_calibration_archs(pool: list, n: int) -> list:
@@ -337,9 +341,13 @@ def pick_calibration_archs(pool: list, n: int) -> list:
     return [pool[i] for i in idx]
 
 
-def plan_jobs(cfg: ExperimentConfig, keys: list, scenarios: dict, arch_by_id: dict) -> tuple:
+def plan_jobs(cfg: ExperimentConfig, keys: list, scenarios: dict, arch_by_id: dict,
+              complete=lambda sid, scenario: scenario) -> tuple:
     """(groups, job): ``keys`` grouped by (arch, seed, task-1 digest of ``scenarios[key[1]]``)
-    in the order of each group's first key, and the function that runs a group."""
+    in the order of each group's first key, and the function that runs a group.
+
+    ``complete(sid, scenario)`` builds the rest of a scenario as its job starts,
+    so only the running job's copies of it are alive."""
     digests = {sid: task1_digest(sc) for sid, sc in scenarios.items()}
     groups: dict = {}
     for key in keys:
@@ -349,8 +357,9 @@ def plan_jobs(cfg: ExperimentConfig, keys: list, scenarios: dict, arch_by_id: di
         arch_id, scenario_id, seed = keys[0]
         # the runs of a job share task 1's length, so its step count
         steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
-        return run_job(arch_by_id[arch_id], [scenarios[sid] for _, sid, _ in keys],
-                       train_config(cfg, steps, seed), arch_id=arch_id, eval_cap=cfg.eval_cap)
+        members = [complete(sid, scenarios[sid]) for _, sid, _ in keys]
+        return run_job(arch_by_id[arch_id], members, train_config(cfg, steps, seed),
+                       arch_id=arch_id, eval_cap=cfg.eval_cap)
 
     return list(groups.values()), job
 
@@ -361,10 +370,12 @@ def run_calibration(cfg: ExperimentConfig, wanted: dict, pool_entries: list) -> 
     archs = [(f"calib_{arch_id}", arch)
              for arch_id, arch in pick_calibration_archs(pool_entries, cfg.n_calib_archs)]
     keys = [(arch_id, pid, cfg.seeds[0]) for pid in wanted for arch_id, _ in archs]
-    subsets = {pid: calibration_scenario(sc, fraction) for pid, (sc, fraction) in wanted.items()}
+    # the digests read only task 1; each task-2 subset is drawn when its job runs
+    task1_sides = {pid: calibration_task1(sc, fraction) for pid, (sc, fraction) in wanted.items()}
     # dense cosine sampling for the depth fit
     groups, job = plan_jobs(replace(cfg, trace_every=1, eval_cap=min(cfg.eval_cap, 512)),
-                            keys, subsets, dict(archs))
+                            keys, task1_sides, dict(archs),
+                            complete=lambda pid, sc: calibration_task2(sc, wanted[pid][1]))
     runs = dict(zip(itertools.chain(*groups), itertools.chain(*map(job, groups))))
     return {pid: calibrate_params([runs[(arch_id, pid, cfg.seeds[0])] for arch_id, _ in archs],
                                   source=f"{sc.scenario_id}@{fraction}", params_id=pid)
@@ -450,8 +461,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
             raise ValueError(f"{out}: another run is using this experiment directory") from None
         ini = os.path.join(out, "experiment.ini")
         _refuse_changed_config(cfg, ini)
-        # everything that can refuse the config runs before its snapshot is saved
-        workers = cfg.resolved_workers()
+        # everything that can refuse the config runs before its snapshot is saved;
+        # that includes a bad ADSLAB_WORKERS, although the jobs run one at a time
+        cfg.resolved_workers()
         datasets = load_dataset_pool(cfg)
         scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
                      for s in cfg.scenarios}
@@ -486,14 +498,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         done = {tuple(r.key) for r in read_records(records_path)}
         pending = [key for key in experiment_run_keys(cfg, entries) if key not in done]
         groups, job = plan_jobs(cfg, pending, scenarios, dict(entries))
-        # one worker maps in this thread (the executor starts no thread until
-        # submit); more map on the pool, whose results come back in job order
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for records in (map if workers == 1 else ex.map)(job, groups):
-                append_records(records_path, records)
-                if progress:
-                    for rec in records:
-                        progress(rec)
+        for records in map(job, groups):
+            append_records(records_path, records)
+            if progress:
+                for rec in records:
+                    progress(rec)
 
         emit_report(out)
     return out

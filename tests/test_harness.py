@@ -6,6 +6,7 @@ import fcntl
 import json
 import os
 import re
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields, replace
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from adslab import clrun, harness
-from adslab.archpool import PoolConfig, _category_counts, load_manifest
+from adslab.archpool import (PoolConfig, _category_counts, generate_pool, load_manifest,
+                             pool_entries)
 from adslab.calib import save_profile
 from adslab.cli import main as cli_main
 from adslab.clrun import derive_seed, read_records, task1_digest
@@ -295,6 +297,25 @@ class TestRunExperiment:
         assert canonical(os.path.join(out1, "records.jsonl")) == \
                canonical(os.path.join(out2, "records.jsonl"))
 
+    # OpenBLAS read its thread count when numpy loaded, so a variable set now
+    # leaves its threads on every CPU: more jobs at once would oversubscribe them
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+    def test_every_job_runs_in_the_calling_thread(self, data_root, monkeypatch, env):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        threads = {}  # the thread each job ran on, by arch id
+        original = harness.run_job
+
+        def recording(arch, scenarios, cfg, arch_id="arch", **kwargs):
+            threads[arch_id] = threading.get_ident()
+            return original(arch, scenarios, cfg, arch_id=arch_id, **kwargs)
+
+        monkeypatch.setattr(harness, "run_job", recording)
+        run_experiment(tiny_config(str(data_root), out_name=f"exp_threads_{len(env)}",
+                                   seeds=(0,), workers=2))
+        assert len(threads) == 4 + 6  # calibration and pool jobs
+        assert set(threads.values()) == {threading.get_ident()}
+
     def test_incomplete_experiment_lists_missing(self, data_root, tmp_path):
         cfg = tiny_config(str(data_root), out_name="exp_frag", seeds=(0,))
         out = run_experiment(cfg)
@@ -517,6 +538,24 @@ class TestSharedTask1:
         run_experiment(cfg)
         assert record_lines(cfg.out_dir) == whole
 
+    def test_calibration_subsets_are_built_as_their_job_runs(self, data_root, monkeypatch):
+        # mf and rot share task 1, so each calibration job holds both task-2 subsets
+        cfg = shared_config(str(data_root), "unused")
+        datasets = load_dataset_pool(cfg)
+        wanted = {profile_id(s.scenario_id, 0.4): (make_scenario(s, datasets, seed=0), 0.4)
+                  for s in cfg.scenarios}
+        events = []
+        for name in ("calibration_task2", "run_job"):
+            original = getattr(harness, name)
+
+            def recording(*args, _original=original, _name=name, **kwargs):
+                events.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, recording)
+        run_calibration(cfg, wanted, pool_entries(generate_pool(cfg.pool)))
+        assert events == ["calibration_task2", "calibration_task2", "run_job"] * cfg.n_calib_archs
+
     def test_a_shared_job_peaks_no_higher_than_one_run(self, data_root):
         # the job keeps task 1's end alive through every member, but of the old-task
         # gradient only what the recorder reads: a raw gradient (one more copy of
@@ -568,7 +607,23 @@ class TestCli:
         assert (sc.input_dim, sc.n_classes) == (784, 10)
         # an empty train batch would not load
         assert cli_main(["make-data", "--out", root, "--names", "cifar10", "--n-train", "4"]) == 2
-        assert "n_train >= 5" in capsys.readouterr().err
+        assert "--n-train must be >= 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names,bad,named", [
+        ("mnist", ["--n-train", "0"], "--n-train must be >= 1 for mnist, got 0"),
+        ("mnist", ["--n-test", "-3"], "--n-test must be >= 1 for mnist, got -3"),
+        ("cifar10", ["--n-test", "0"], "--n-test must be >= 1"),
+        # mnist, listed first, would be written before cifar10 refused its count
+        ("mnist,cifar10", ["--n-train", "4"], "--n-train must be >= 5 for mnist, cifar10"),
+        ("mnist,", [], "--names lists an empty name"),
+    ])
+    def test_make_data_refuses_bad_counts_before_writing(self, tmp_path, capsys, names, bad,
+                                                         named):
+        root = tmp_path / "d"
+        assert cli_main(["make-data", "--out", str(root), "--names", names,
+                         "--n-train", "50", "--n-test", "20", *bad]) == 2
+        assert named in capsys.readouterr().err
+        assert not root.exists()
 
     def test_ads_widths_prints_terms(self, tmp_path, capsys):
         from adslab.calib import CalibrationParams, save_profile

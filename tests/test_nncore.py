@@ -384,6 +384,27 @@ class TestSgdStep:
             assert np.array_equal(net.flat, weights)
             assert np.array_equal(state.buffer, momentum)
 
+    def test_finite_gradient_whose_square_overflows_steps(self):
+        # every entry is finite, though their sum of squares overflows: the step must not raise
+        net = init_network(small_spec([2, 3, 4, 2]), seed=0)
+        state = init_optimizer(net, lr=0.1, momentum=0.9, weight_decay=1e-2)
+        weights = [w.copy() for w in net.weights]
+        buffers = [np.zeros_like(w) for w in weights]
+        rng = np.random.default_rng(5)
+        for big in (None, 1e200):
+            grad = rng.standard_normal(net.flat.size)
+            if big is not None:
+                layer_views(net.spec.widths, grad)[1][2, 1] = big
+                with np.errstate(over="ignore"):
+                    assert not np.isfinite(grad @ grad)
+            sgd_step(net, grad, state)
+            ref_sgd_step(weights, [g.copy() for g in layer_views(net.spec.widths, grad)],
+                         buffers, 0.1, 0.9, 1e-2)
+            for w, ref_w in zip(net.weights, weights):
+                assert w.tobytes() == ref_w.tobytes()
+            assert state.buffer.tobytes() == np.concatenate(
+                [b.ravel() for b in buffers]).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # flat parameters and step workspaces
