@@ -9,22 +9,23 @@ class:
 
 The width fit uses only layers whose input AND output widths are hidden
 widths (layer index >= 2), mirroring how the scaling law is stated over
-the hidden stack. Profiles are small INI files, replaced atomically; an
-experiment's ``[calib] profile`` key scores with a stored profile by id,
-which is how the "small shift" / "large shift" transfer presets work.
+the hidden stack. Profiles are INI files with the same reader and writer
+as ``experiment.ini`` (``clrun.read_ini``, ``write_ini``), so a missing
+or unknown key or section is refused; an experiment's ``[calib] profile``
+key scores with a stored profile by id, which is how the "small shift" /
+"large shift" transfer presets work.
 ``CalibrationParams`` is frozen and refuses a non-finite parameter.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clrun import LayerTrace, RunRecord, write_atomic
+from .clrun import LayerTrace, RunRecord, parse_section, read_ini, write_ini
 
 COS_LOG_FLOOR = 1e-8
 
@@ -175,28 +176,21 @@ PROFILE_KEYS = {
 def save_profile(params: CalibrationParams, path) -> None:
     sections: dict = {}
     for name, (section, key) in PROFILE_KEYS.items():
-        sections.setdefault(section, {})[key] = str(getattr(params, name))
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(sections)
-    write_atomic(path, cp.write)
+        sections.setdefault(section, {})[key] = getattr(params, name)
+    write_ini(path, sections)
 
 
 def load_profile(path) -> CalibrationParams:
     """The profile in an INI file; a bad file or value raises ValueError naming the file."""
-    cp = configparser.ConfigParser(interpolation=None)
-    with open(path) as fh:
-        text = fh.read()
+    return read_ini(path, _profile_from_sections)
+
+
+def _profile_from_sections(sections: dict) -> CalibrationParams:
     hints = typing.get_type_hints(CalibrationParams)
     values = {}
-    try:
-        cp.read_string(text)
-        for name, (section, key) in PROFILE_KEYS.items():
-            if not cp.has_option(section, key):
-                raise ValueError(f"missing key {key!r} in section [{section}]")
-            try:
-                values[name] = hints[name](cp[section][key])
-            except ValueError as exc:
-                raise ValueError(f"[{section}] {key}: {exc}") from None
-        return CalibrationParams(**values)
-    except (configparser.Error, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for section, items in sections.items():
+        values |= parse_section(section, items, PROFILE_KEYS, hints)
+    for name, (section, key) in PROFILE_KEYS.items():
+        if name not in values:
+            raise ValueError(f"missing key {key!r} in section [{section}]")
+    return CalibrationParams(**values)

@@ -15,10 +15,10 @@ from . import harness
 from .ads import compute_ads
 from .archpool import generate_pool, load_manifest, pool_entries, save_manifest
 from .calib import load_profile, save_profile
-from .datasets import make_scenario
+from .datasets import CIFAR_TRAIN_BATCHES, make_scenario
 from .harness import emit_report, load_config, run_experiment
 from .nncore import ArchitectureSpec
-from .synthdata import CIFAR_TRAIN_BATCHES, generate_dataset
+from .synthdata import generate_dataset
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -35,7 +35,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="adslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    mk = sub.add_parser("make-data", help="generate synthetic IDX stand-in datasets")
+    mk = sub.add_parser("make-data", help="generate synthetic stand-in datasets")
     mk.add_argument("--out", required=True, help="data root directory")
     mk.add_argument("--names", default="mnist,fashion_mnist")
     mk.add_argument("--n-train", type=int, default=6000)

@@ -18,17 +18,22 @@ triangle inequality at any resolution, and the ratio measures
 macroscopic trajectory straightness without counting minibatch jitter
 as path. The raw per-step gradient-norm sum is kept alongside as a
 diagnostic.
+
+``write_atomic`` replaces a state file whole, and ``read_ini``/``write_ini``
+are the one INI codec of ``experiment.ini`` and parameter profiles.
 """
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import json
+import math
 import os
 import time
+import typing
 import zlib
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from .nncore import (
 
 def derive_seed(master: int, *tags: str) -> int:
     """Stable sub-seed from a master seed and string tags."""
-    parts = [int(master) & 0xFFFFFFFF] + [zlib.crc32(tag.encode()) for tag in tags]
+    parts = [int(master)] + [zlib.crc32(tag.encode()) for tag in tags]
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
@@ -72,8 +77,13 @@ class TrainConfig:
         for name in ("steps_per_task", "batch_size", "trace_every", "path_segments"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        # NaN fails every comparison, so it is refused with the rest
+        for name, ok, rule in (("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                               ("weight_decay", 0 <= self.weight_decay < math.inf, "finite, >= 0"),
+                               ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -140,6 +150,58 @@ def write_atomic(path, write, mode: str = "w") -> None:
     os.replace(tmp, path)
 
 
+def format_value(x) -> str:
+    """A CSV cell or an INI value as text; floats in full precision, tuples comma-joined."""
+    if isinstance(x, tuple):
+        return ",".join(map(format_value, x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def parse_value(section: str, key: str, tp, text: str):
+    """INI text to a value of the annotated field type (int, float, str or a tuple of one)."""
+    try:
+        if typing.get_origin(tp) is tuple:
+            item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
+            return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
+        return tp(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
+
+
+def parse_section(section: str, items: dict, keys: dict, hints: dict) -> dict:
+    """Field values of one INI section; a key or section not in ``keys`` is refused."""
+    names = {key: name for name, (sec, key) in keys.items() if sec == section}
+    for key in items:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in section [{section}]")
+    if not names:
+        raise ValueError(f"unknown section [{section}]")
+    return {names[key]: parse_value(section, key, hints[names[key]], text)
+            for key, text in items.items()}
+
+
+def read_ini(path, parse):
+    """``parse({section: {key: text}})`` of the INI file at ``path``, read literally
+    (no %-interpolation); a bad file or value raises ValueError naming the file."""
+    cp = configparser.ConfigParser(interpolation=None)
+    with open(path) as fh:
+        try:
+            cp.read_file(fh)
+            return parse({section: dict(cp[section]) for section in cp.sections()})
+        except (configparser.Error, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_ini(path, sections: dict) -> None:
+    """Replace ``path`` atomically with ``{section: {key: value}}`` as INI text."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict({section: {key: format_value(v) for key, v in items.items()}
+                  for section, items in sections.items()})
+    write_atomic(path, cp.write)
+
+
 def read_records(path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
@@ -163,7 +225,7 @@ def unit_flatten(grads: list[np.ndarray]) -> list[np.ndarray]:
     return flats
 
 
-class Gold(NamedTuple):
+class Gold(typing.NamedTuple):
     """What a run keeps of the old-task gradient: per hidden layer, its
     spectral norm and its flattened unit vector."""
     spectral: list[float]

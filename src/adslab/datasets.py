@@ -1,15 +1,17 @@
 """Dataset ingestion and continual-learning scenario construction.
 
 Loaders parse the native binary containers (big-endian IDX for the
-MNIST family, record-based CIFAR-10 batches). Scenario construction
-covers cross-dataset transfer, class splits, and rotated variants, and
-carves out the evaluation and calibration subsets. Standardization
-statistics are always computed on the task-1 train split and frozen for
-every other split of the scenario.
+MNIST family, record-based CIFAR-10 batches) at the paths that
+``dataset_paths`` gives, which is also where ``synthdata`` writes.
+Scenario construction covers cross-dataset transfer, class splits, and
+rotated variants, and carves out the evaluation and calibration
+subsets. Standardization statistics are always computed on the task-1
+train split and frozen for every other split of the scenario.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -21,6 +23,19 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
+
+IDX_FILENAMES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+                 "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
+CIFAR_TRAIN_BATCHES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
+
+
+def dataset_paths(root, name: str) -> dict:
+    """{split: its files} of dataset ``name`` under ``root/name/``: the train
+    batches and the test batch for ``cifar10``, else the IDX (images, labels) pair."""
+    files = ({"train": CIFAR_TRAIN_BATCHES, "test": ("test_batch.bin",)}
+             if name == "cifar10" else IDX_FILENAMES)
+    return {split: [os.path.join(root, name, f) for f in split_files]
+            for split, split_files in files.items()}
 
 
 @dataclass

@@ -23,7 +23,6 @@ a directory.
 
 from __future__ import annotations
 
-import configparser
 import fcntl
 import itertools
 import math
@@ -39,11 +38,12 @@ from .ads import compute_ads
 from .archpool import (PoolConfig, generate_pool, load_manifest, pool_entries, save_manifest,
                        _category_counts)
 from .calib import CalibrationParams, calibrate_params, load_profile, save_profile
-from .clrun import (TrainConfig, append_records, read_records, run_scenario, task1_digest,
-                    train_task1, write_atomic)
-from .datasets import Scenario, ScenarioSpec, load_cifar10, load_idx, make_scenario, sample_subset
+from .clrun import (TrainConfig, append_records, format_value, parse_section, parse_value,
+                    read_ini, read_records, run_scenario, task1_digest, train_task1,
+                    write_atomic, write_ini)
+from .datasets import (Scenario, ScenarioSpec, dataset_paths, load_cifar10, load_idx,
+                       make_scenario, sample_subset)
 from .nncore import ArchitectureSpec, DivergenceError
-from .synthdata import CIFAR_TEST_BATCH, CIFAR_TRAIN_BATCHES, IDX_FILENAMES
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
 ENV_WORKERS = "ADSLAB_WORKERS"
@@ -90,6 +90,8 @@ class ExperimentConfig:
                                    ("n_boot", self.n_boot, stats.MIN_BOOT)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0.0 <= self.min_task1_acc <= 1.0:
+            raise ValueError(f"min_task1_acc must be in [0, 1], got {self.min_task1_acc}")
         if not all(0.0 < f <= 1.0 for f in self.calib_fractions):
             raise ValueError(f"calib fractions must be in (0, 1], got {self.calib_fractions}")
         # a repeated seed or scenario id would run its keys twice, and fractions
@@ -140,9 +142,9 @@ def profile_id(scenario_id: str, fraction: float) -> str:
 # config file (INI with one [scenario <id>] section per scenario)
 # ---------------------------------------------------------------------------
 
-# (section, key) of every ExperimentConfig and PoolConfig field; ScenarioSpec
-# fields use their own names in [scenario <id>], and per_category_counts is one
-# count_<tag> key per category, or a single per_category count when hand-written
+# (section, key) of every ExperimentConfig and PoolConfig field, in file order;
+# ScenarioSpec fields use their own names in [scenario <id>], and per_category_counts
+# is one count_<tag> key per category, or a single per_category count when hand-written
 INI_KEYS = {
     "seeds": ("experiment", "seeds"),
     "workers": ("experiment", "workers"),
@@ -158,12 +160,6 @@ INI_KEYS = {
     "weight_decay": ("train", "weight_decay"),
     "trace_every": ("train", "trace_every"),
     "path_segments": ("train", "path_segments"),
-    "depths": ("pool", "depths"),
-    "width_candidates": ("pool", "widths"),
-    "per_category_counts": ("pool", "count_"),
-    "seed": ("pool", "seed"),
-    "input_dim": ("pool", "input_dim"),
-    "output_dim": ("pool", "output_dim"),
     "n_calib_archs": ("calib", "n_archs"),
     "calib_fractions": ("calib", "fractions"),
     "transfer_profile": ("calib", "profile"),
@@ -171,106 +167,68 @@ INI_KEYS = {
     "n_perm": ("stats", "n_perm"),
     "n_boot": ("stats", "n_boot"),
     "baseline_perms": ("stats", "baseline_perms"),
+    "depths": ("pool", "depths"),
+    "width_candidates": ("pool", "widths"),
+    "per_category_counts": ("pool", "count_"),
+    "seed": ("pool", "seed"),
+    "input_dim": ("pool", "input_dim"),
+    "output_dim": ("pool", "output_dim"),
 }
-
-
-def _parse(section: str, key: str, tp, text: str):
-    """INI text to a value of the annotated field type (int, float, str or a tuple of one)."""
-    try:
-        if typing.get_origin(tp) is tuple:
-            item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
-            return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
-        return tp(text)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] {key}: {exc}") from None
-
-
-def _parse_section(section: str, items: dict, names: dict, hints: dict) -> dict:
-    """Field values of one INI section; ``names`` maps each known key to its field."""
-    values = {}
-    for key, text in items.items():
-        if key not in names:
-            raise ValueError(f"unknown key {key!r} in section [{section}]")
-        values[names[key]] = _parse(section, key, hints[names[key]], text)
-    return values
+POOL_FIELDS = {f.name for f in fields(PoolConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
     """The config in an INI file; a bad file or value raises ValueError naming the file."""
+    return read_ini(path, _config_from_sections)
+
+
+def _config_from_sections(sections: dict) -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(PoolConfig)
     spec_hints = typing.get_type_hints(ScenarioSpec)
-    spec_keys = {name: name for name in spec_hints if name != "scenario_id"}
     values, scenarios = {}, []
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        if not cp.read(path):
-            raise FileNotFoundError(f"config file not found: {path}")
-        for section in cp.sections():
-            items = dict(cp[section])
-            if section.startswith("scenario"):
-                sid = section.split(None, 1)[1] if " " in section else section
-                spec_values = _parse_section(section, items, spec_keys, spec_hints)
-                try:
-                    scenarios.append(ScenarioSpec(sid, **spec_values))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"[{section}]: {exc}") from None
-                continue
-            if section == "pool":
-                counts = {k[len("count_"):]: _parse(section, k, int, items.pop(k))
-                          for k in list(items) if k.startswith("count_")}
-                if "per_category" in items:
-                    if counts:
-                        raise ValueError(f"[{section}] per_category and count_<tag> keys "
-                                         "both set the pool's counts; keep one of them")
-                    counts = _category_counts(
-                        _parse(section, "per_category", int, items.pop("per_category")))
+    for section, items in sections.items():
+        if section == "scenario" or section.startswith("scenario "):
+            sid = section.split(None, 1)[1] if " " in section else section
+            spec_keys = {name: (section, name) for name in spec_hints if name != "scenario_id"}
+            spec_values = parse_section(section, items, spec_keys, spec_hints)
+            try:
+                scenarios.append(ScenarioSpec(sid, **spec_values))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"[{section}]: {exc}") from None
+            continue
+        if section == "pool":
+            counts = {k[len("count_"):]: parse_value(section, k, int, items.pop(k))
+                      for k in list(items) if k.startswith("count_")}
+            if "per_category" in items:
                 if counts:
-                    values["per_category_counts"] = counts
-            names = {key: name for name, (sec, key) in INI_KEYS.items() if sec == section}
-            values |= _parse_section(section, items, names, hints)
-        pool_names = {f.name for f in fields(PoolConfig)}
-        pool = PoolConfig(**{k: v for k, v in values.items() if k in pool_names})
-        return ExperimentConfig(scenarios=scenarios, pool=pool,
-                                **{k: v for k, v in values.items() if k not in pool_names})
-    except (configparser.Error, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+                    raise ValueError(f"[{section}] per_category and count_<tag> keys "
+                                     "both set the pool's counts; keep one of them")
+                counts = _category_counts(
+                    parse_value(section, "per_category", int, items.pop("per_category")))
+            if counts:
+                values["per_category_counts"] = counts
+        values |= parse_section(section, items, INI_KEYS, hints)
+    pool = PoolConfig(**{k: v for k, v in values.items() if k in POOL_FIELDS})
+    return ExperimentConfig(scenarios=scenarios, pool=pool,
+                            **{k: v for k, v in values.items() if k not in POOL_FIELDS})
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     sections: dict = {}
-    for obj in (cfg, cfg.pool):
-        for f in fields(obj):
-            if f.name in ("scenarios", "pool"):
-                continue
-            section, key = INI_KEYS[f.name]
-            value = getattr(obj, f.name)
-            items = ({f"count_{tag}": n for tag, n in value.items()}
-                     if f.name == "per_category_counts" else {key: value})
-            sections.setdefault(section, {}).update({k: _fmt(v) for k, v in items.items()})
+    for name, (section, key) in INI_KEYS.items():
+        value = getattr(cfg.pool if name in POOL_FIELDS else cfg, name)
+        items = ({f"count_{tag}": n for tag, n in value.items()}
+                 if name == "per_category_counts" else {key: value})
+        sections.setdefault(section, {}).update(items)
     for spec in cfg.scenarios:
         sections[f"scenario {spec.scenario_id}"] = {
-            f.name: _fmt(getattr(spec, f.name)) for f in fields(spec) if f.name != "scenario_id"}
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(sections)
-    write_atomic(path, cp.write)
+            f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "scenario_id"}
+    write_ini(path, sections)
 
 
 # ---------------------------------------------------------------------------
 # dataset resolution
 # ---------------------------------------------------------------------------
-
-def dataset_paths(root: str, name: str) -> dict:
-    base = os.path.join(root, name)
-    if name == "cifar10":
-        return {"train": [os.path.join(base, b) for b in CIFAR_TRAIN_BATCHES],
-                "test": [os.path.join(base, CIFAR_TEST_BATCH)]}
-    return {
-        "train": (os.path.join(base, IDX_FILENAMES[("train", "images")]),
-                  os.path.join(base, IDX_FILENAMES[("train", "labels")])),
-        "test": (os.path.join(base, IDX_FILENAMES[("test", "images")]),
-                 os.path.join(base, IDX_FILENAMES[("test", "labels")])),
-    }
-
 
 def load_named_dataset(root: str, name: str) -> dict:
     paths = dataset_paths(root, name)
@@ -284,10 +242,8 @@ def load_named_dataset(root: str, name: str) -> dict:
             "the make-data command."
         )
     if name == "cifar10":
-        return {"train": load_cifar10(paths["train"], name, "train"),
-                "test": load_cifar10(paths["test"], name, "test")}
-    return {"train": load_idx(*paths["train"], name=name, split="train"),
-            "test": load_idx(*paths["test"], name=name, split="test")}
+        return {split: load_cifar10(files, name, split) for split, files in paths.items()}
+    return {split: load_idx(*files, name=name, split=split) for split, files in paths.items()}
 
 
 def load_dataset_pool(cfg: ExperimentConfig) -> dict:
@@ -558,20 +514,11 @@ def selector_baseline(agg: ScenarioAggregate, n_perms: int, seed: int) -> float:
                           for _ in range(n_perms)]))
 
 
-def _fmt(x) -> str:
-    """A CSV cell or an INI value as text; floats in full precision, tuples comma-joined."""
-    if isinstance(x, tuple):
-        return ",".join(map(_fmt, x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_csv(path, header: list, rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def emit_report(exp_dir: str) -> list:

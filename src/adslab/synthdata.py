@@ -3,7 +3,8 @@
 Writes class-structured image sets in each dataset's binary layout, so
 the whole ingestion path (binary parsing, scenarios, training) can run
 offline at desk scale: 28x28 grayscale in IDX files, and for ``cifar10``
-32x32 RGB in CIFAR-10 binary batches. Each named dataset gets its own
+32x32 RGB in CIFAR-10 binary batches, at the paths
+``datasets.dataset_paths`` gives. Each named dataset gets its own
 class prototypes: smooth random fields plus per-sample jitter and noise,
 separable enough for small ReLU nets to fit within a couple of epochs.
 """
@@ -15,15 +16,7 @@ import struct
 
 import numpy as np
 
-IDX_FILENAMES = {
-    ("train", "images"): "train-images-idx3-ubyte",
-    ("train", "labels"): "train-labels-idx1-ubyte",
-    ("test", "images"): "t10k-images-idx3-ubyte",
-    ("test", "labels"): "t10k-labels-idx1-ubyte",
-}
-
-CIFAR_TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
-CIFAR_TEST_BATCH = "test_batch.bin"
+from .datasets import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, dataset_paths
 
 # distinct prototype seeds per stand-in dataset name
 NAME_SEEDS = {"mnist": 101, "fashion_mnist": 202, "cifar10": 303}
@@ -76,10 +69,10 @@ def synth_images(name: str, split: str, n: int, seed: int, noise: float = 0.06,
 def write_idx_pair(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
     n, rows, cols = images.shape
     with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
+        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
         fh.write(images.tobytes())
     with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, n))
+        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         fh.write(labels.tobytes())
 
 
@@ -91,29 +84,17 @@ def write_cifar_batch(images: np.ndarray, labels: np.ndarray, path) -> None:
 
 def generate_dataset(root, name: str, n_train: int = 6000, n_test: int = 1500,
                      seed: int = 0) -> dict:
-    """Write a synthetic dataset under root/<name>/ and return its paths: five
-    train batches and a test batch for ``cifar10``, else an IDX quartet."""
-    out_dir = os.path.join(str(root), name)
-    if name == "cifar10":
-        if n_train < len(CIFAR_TRAIN_BATCHES):
-            raise ValueError(f"cifar10 needs n_train >= {len(CIFAR_TRAIN_BATCHES)}, one image "
-                             f"per train batch, got {n_train}")
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {"train": [os.path.join(out_dir, b) for b in CIFAR_TRAIN_BATCHES],
-                 "test": [os.path.join(out_dir, CIFAR_TEST_BATCH)]}
-        for split, n in (("train", n_train), ("test", n_test)):
-            images, labels = synth_images(name, split, n, seed, shape=(3, 32, 32))
-            batches = np.array_split(np.arange(n), len(paths[split]))
-            for path, rows in zip(paths[split], batches):
-                write_cifar_batch(images[rows], labels[rows], path)
-        return paths
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    """Write a synthetic dataset to ``dataset_paths(root, name)`` and return those paths."""
+    paths = dataset_paths(root, name)
+    if name == "cifar10" and n_train < len(paths["train"]):
+        raise ValueError(f"cifar10 needs n_train >= {len(paths['train'])}, one image "
+                         f"per train batch, got {n_train}")
+    os.makedirs(os.path.join(root, name), exist_ok=True)
     for split, n in (("train", n_train), ("test", n_test)):
-        images, labels = synth_images(name, split, n, seed)
-        ip = os.path.join(out_dir, IDX_FILENAMES[(split, "images")])
-        lp = os.path.join(out_dir, IDX_FILENAMES[(split, "labels")])
-        write_idx_pair(images, labels, ip, lp)
-        paths[(split, "images")] = ip
-        paths[(split, "labels")] = lp
+        if name == "cifar10":
+            images, labels = synth_images(name, split, n, seed, shape=(3, 32, 32))
+            for path, rows in zip(paths[split], np.array_split(np.arange(n), len(paths[split]))):
+                write_cifar_batch(images[rows], labels[rows], path)
+        else:
+            write_idx_pair(*synth_images(name, split, n, seed), *paths[split])
     return paths

@@ -1,6 +1,7 @@
 """Parameter-fitting tests: exact recovery on synthetic traces, invariances."""
 
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -189,6 +190,40 @@ class TestProfiles:
         save_profile(p, path)
         q = load_profile(path)
         assert (q.source, q.params_id) == ("m%f@0.3", "shift_100%")
+
+    def test_saved_bytes(self, tmp_path):
+        # pins the profile format: sections and keys in PROFILE_KEYS order, floats
+        # in full precision, strings literal
+        p = CalibrationParams(0.1 + 0.2, -0.48, 2.0, float(np.float64(0.52)), math.nan, 1.0, 120,
+                              source="m%f@0.3", params_id="shift_100%")
+        save_profile(p, tmp_path / "p.profile")
+        assert (tmp_path / "p.profile").read_bytes() == (
+            b"[params]\nalpha = 0.30000000000000004\nbeta = -0.48\nb = 2.0\nc = 0.52\n\n"
+            b"[fit]\nr2_width = nan\nr2_depth = 1.0\nn_layer_records = 120\n\n"
+            b"[provenance]\nsource = m%f@0.3\nparams_id = shift_100%\n\n")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CalibrationParams)])
+    def test_every_field_round_trips(self, tmp_path, name):
+        p = CalibrationParams(0.1 + 0.2, -4.8e-17, 1.9, 0.52, -0.25, math.nan, 7,
+                              source="mf@0.3 %(x)s", params_id="f050")
+        default = next(f.default for f in fields(p) if f.name == name)
+        assert default is MISSING or getattr(p, name) != default, f"{name} is left at its default"
+        save_profile(p, tmp_path / "p.profile")
+        back = getattr(load_profile(tmp_path / "p.profile"), name)
+        assert type(back) is type(getattr(p, name)) and repr(back) == repr(getattr(p, name))
+
+    @pytest.mark.parametrize("anchor,insert,section,key", [
+        ("alpha = ", "alhpa = 7\n", "params", "alhpa"),
+        ("[fit]", "[extra]\nnote = 1\n\n", "extra", "note"),
+    ], ids=["unknown_key", "unknown_section"])
+    def test_unknown_key_or_section_refused(self, tmp_path, anchor, insert, section, key):
+        path = tmp_path / "p.profile"
+        save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50), path)
+        path.write_text(path.read_text().replace(anchor, insert + anchor, 1))
+        with pytest.raises(ValueError) as err:
+            load_profile(path)
+        assert str(path) in str(err.value)
+        assert f"{key!r} in section [{section}]" in str(err.value)
 
     def test_missing_profile(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope"):

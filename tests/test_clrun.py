@@ -246,6 +246,10 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "a", "x") == derive_seed(1, "a", "x")
     assert derive_seed(1, "a", "x") != derive_seed(1, "a", "y")
     assert derive_seed(1, "a", "x") != derive_seed(2, "a", "x")
+    # seeds a multiple of 2**32 apart are distinct seeds, not one
+    assert derive_seed(0, "a", "x") != derive_seed(2**32, "a", "x")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(steps_per_task=1, seed=-1)
 
 
 class TestDivergenceGuard:

@@ -224,10 +224,7 @@ def synth_pool(tmp_path_factory):
     pool = {}
     for name in ("mnist", "fashion_mnist"):
         paths = generate_dataset(root, name, n_train=600, n_test=300, seed=3)
-        pool[name] = {
-            "train": load_idx(paths[("train", "images")], paths[("train", "labels")], name, "train"),
-            "test": load_idx(paths[("test", "images")], paths[("test", "labels")], name, "test"),
-        }
+        pool[name] = {split: load_idx(*files, name, split) for split, files in paths.items()}
     return pool
 
 

@@ -20,10 +20,9 @@ from adslab.archpool import (PoolConfig, _category_counts, generate_pool, load_m
 from adslab.calib import save_profile
 from adslab.cli import main as cli_main
 from adslab.clrun import derive_seed, read_records, task1_digest
-from adslab.datasets import ScenarioSpec, make_scenario
+from adslab.datasets import ScenarioSpec, dataset_paths, make_scenario
 from adslab.harness import (
     ExperimentConfig,
-    dataset_paths,
     emit_report,
     experiment_run_keys,
     load_config,
@@ -179,6 +178,17 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=rf"{key}.*\[{section}\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("misspelt,named", [
+        ("[experimnt]\n", "unknown section [experimnt]"),
+        ("[scenarios]\nkind = rotated\ndataset = mnist\n", "'kind' in section [scenarios]"),
+    ], ids=["empty", "scenario_prefix"])
+    def test_misspelt_section_rejected(self, tmp_path, capsys, misspelt, named):
+        path = tmp_path / "c.ini"
+        path.write_text(misspelt + "[scenario s]\nkind = rotated\ndataset = mnist\n")
+        assert cli_main(["gen-pool", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err, err
+
     def test_readme_example_loads(self, tmp_path):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
             readme = fh.read()
@@ -243,6 +253,18 @@ class TestDatasetResolution:
         paths = dataset_paths("r", "cifar10")
         assert len(paths["train"]) == 5
         assert paths["test"][0].endswith("test_batch.bin")
+
+    @pytest.mark.parametrize("name", ["mnist", "cifar10"])
+    def test_generated_dataset_loads_from_the_same_paths(self, tmp_path, name):
+        # the generator writes, and the loader reads, exactly dataset_paths
+        root = str(tmp_path / "d")
+        written = generate_dataset(root, name, n_train=40, n_test=15, seed=4)
+        assert written == dataset_paths(root, name)
+        on_disk = sorted(os.path.join(root, name, f) for f in os.listdir(os.path.join(root, name)))
+        assert on_disk == sorted(p for files in written.values() for p in files)
+        loaded = load_named_dataset(root, name)
+        assert {split: (len(ds), ds.n_features, ds.split) for split, ds in loaded.items()} == \
+               {"train": (40, 784, "train"), "test": (15, 784, "test")}
 
 
 class TestRunExperiment:
@@ -657,7 +679,14 @@ class TestCli:
                                   ("calib", "fractions", "0.4,0.401"),
                                   ("pool", "widths", "0,16,24"), ("calib", "n_archs", "0"),
                                   ("pool", "count_unifrom", "5"),
-                                  ("pool", "per_category", "2")]:
+                                  ("pool", "per_category", "2"),
+                                  ("train", "lr", "nan"), ("train", "lr", "inf"),
+                                  ("train", "momentum", "-3"), ("train", "momentum", "1"),
+                                  ("train", "momentum", "nan"),
+                                  ("train", "weight_decay", "-1"),
+                                  ("train", "weight_decay", "inf"),
+                                  ("experiment", "min_task1_acc", "2.0"),
+                                  ("experiment", "min_task1_acc", "nan")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad
