@@ -23,7 +23,6 @@ from .nncore import ArchitectureSpec
 class AdsScore:
     value: float
     per_layer_terms: tuple[float, ...]
-    params_id: str
 
 
 def layer_term(w_in: int, w_out: int, l: int, params: CalibrationParams) -> float:
@@ -36,4 +35,4 @@ def compute_ads(spec: ArchitectureSpec, params: CalibrationParams) -> AdsScore:
         layer_term(spec.widths[l - 1], spec.widths[l], l, params)
         for l in range(1, spec.depth + 1)
     )
-    return AdsScore(value=sum(terms), per_layer_terms=terms, params_id=params.params_id)
+    return AdsScore(value=sum(terms), per_layer_terms=terms)

@@ -217,19 +217,26 @@ def pool_to_manifest(pool: list[ArchitectureSpec], seed: int = 0) -> str:
 
 
 def manifest_to_pool(text: str) -> list[tuple[str, ArchitectureSpec]]:
-    """Parse a manifest into (arch_id, spec) pairs."""
-    out = []
-    for line in text.splitlines():
+    """Parse a manifest into (arch_id, spec) pairs; a bad line or a repeated
+    arch id raises ValueError naming the line."""
+    out: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        arch_id, depth_s, widths_s, tag = line.split("\t")
+        cells = line.split("\t")
         try:
-            spec = ArchitectureSpec(int(depth_s), tuple(int(w) for w in widths_s.split(",")), tag)
+            if len(cells) != 4:
+                raise ValueError(f"{len(cells)} tab-separated fields, expected 4 "
+                                 "(arch_id, depth, widths, tag)")
+            arch_id, depth_s, widths_s, tag = cells
+            if arch_id in out:
+                raise ValueError("the arch id repeats an earlier entry")
+            out[arch_id] = ArchitectureSpec(int(depth_s),
+                                            tuple(int(w) for w in widths_s.split(",")), tag)
         except ValueError as exc:
-            raise ValueError(f"manifest entry {arch_id}: {exc}") from None
-        out.append((arch_id, spec))
-    return out
+            raise ValueError(f"manifest line {lineno}, entry {cells[0]}: {exc}") from None
+    return list(out.items())
 
 
 def save_manifest(pool: list[ArchitectureSpec], path, seed: int = 0) -> None:
@@ -238,4 +245,8 @@ def save_manifest(pool: list[ArchitectureSpec], path, seed: int = 0) -> None:
 
 def load_manifest(path) -> list[tuple[str, ArchitectureSpec]]:
     with open(path) as fh:
-        return manifest_to_pool(fh.read())
+        text = fh.read()
+    try:
+        return manifest_to_pool(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

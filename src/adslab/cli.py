@@ -15,10 +15,10 @@ from . import harness
 from .ads import compute_ads
 from .archpool import generate_pool, load_manifest, pool_entries, save_manifest
 from .calib import load_profile, save_profile
-from .datasets import CIFAR_TRAIN_BATCHES, make_scenario
+from .datasets import make_scenario
 from .harness import emit_report, load_config, run_experiment
 from .nncore import ArchitectureSpec
-from .synthdata import generate_dataset
+from .synthdata import check_counts, generate_dataset
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -74,14 +74,10 @@ def build_parser() -> _Parser:
 
 def cmd_make_data(args) -> int:
     names = [name.strip() for name in args.names.split(",")]
-    # every name's counts are checked before any file is written: the loaders
-    # refuse an empty split, and a CIFAR-10 train set needs one image per batch
+    # every name's counts are checked before any file is written
     if not all(names):
         raise ValueError(f"--names lists an empty name: {args.names!r}")
-    least_train = len(CIFAR_TRAIN_BATCHES) if "cifar10" in names else 1
-    for flag, n, least in (("--n-train", args.n_train, least_train), ("--n-test", args.n_test, 1)):
-        if n < least:
-            raise ValueError(f"{flag} must be >= {least} for {', '.join(names)}, got {n}")
+    check_counts(names, args.n_train, args.n_test, flags=("--n-train", "--n-test"))
     for name in names:
         generate_dataset(args.out, name, n_train=args.n_train,
                          n_test=args.n_test, seed=args.seed)
@@ -106,7 +102,7 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"no scenario {sid!r} in config")
     spec = matches[0]
     datasets = harness.load_dataset_pool(cfg)
-    scenario = make_scenario(spec, datasets, seed=cfg.seeds[0])
+    scenario = make_scenario(spec, datasets, seed=cfg.seeds[0], eval_cap=cfg.eval_cap)
     fraction = args.fraction if args.fraction is not None else cfg.fractions_for(spec)[0]
     wanted = {harness.profile_id(sid, fraction): (scenario, fraction)}
     (params,) = harness.run_calibration(cfg, wanted, pool_entries(generate_pool(cfg.pool))).values()

@@ -8,7 +8,8 @@ step-wise new-task gradient. Finally measures the realized logit shift
 on held-out task-1 data. ``train_task1`` trains and measures task 1, and
 ``run_scenario`` runs the rest from its result (``Task1``). That result
 depends only on the architecture, the seed and the scenario bytes that
-``task1_digest`` covers, so runs whose digests match share one.
+``task1_digest`` covers, so runs whose digests match share one. A run
+evaluates every row of its scenario's evaluation sets.
 
 Path length discretizes the trajectory integral over coarse segments:
 the sum of Frobenius displacements between evenly spaced weight
@@ -160,11 +161,15 @@ def format_value(x) -> str:
 
 
 def parse_value(section: str, key: str, tp, text: str):
-    """INI text to a value of the annotated field type (int, float, str or a tuple of one)."""
+    """INI text to a value of the annotated field type (int, float, str or a tuple of
+    one); an empty text is the empty tuple, and an empty item of a tuple is refused."""
     try:
         if typing.get_origin(tp) is tuple:
             item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
-            return tuple(item(v) for v in text.replace(" ", "").split(",") if v)
+            items = text.replace(" ", "").split(",") if text.strip() else []
+            if "" in items:
+                raise ValueError(f"empty item in {text!r}")
+            return tuple(map(item, items))
         return tp(text)
     except ValueError as exc:
         raise ValueError(f"[{section}] {key}: {exc}") from None
@@ -314,9 +319,10 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
     mutates net/state in place.
 
     Every step runs in one preallocated batch buffer and workspace; an
-    epoch's short last batch uses their leading rows. Returns (net, state,
-    stats_dict). A non-finite loss or gradient raises DivergenceError so the
-    caller can flag the run instead of crashing a whole pool.
+    epoch's short last batch uses their leading rows. Returns the loss
+    summary (``n_steps``, ``final_loss``, ``mean_loss``). A non-finite loss
+    or gradient raises DivergenceError so the caller can flag the run
+    instead of crashing a whole pool.
     """
     rng = np.random.default_rng(seed)
     n = len(dataset)
@@ -345,8 +351,7 @@ def train_task(net: DenseNet, state: OptimizerState, dataset: Dataset,
             losses.append(loss)
             done += 1
     # TrainConfig and Dataset are never empty, so there is at least one step
-    return net, state, {"n_steps": done, "final_loss": losses[-1],
-                        "mean_loss": float(np.mean(losses))}
+    return {"n_steps": done, "final_loss": losses[-1], "mean_loss": float(np.mean(losses))}
 
 
 def measure_logit_shift(f_t: np.ndarray, f_t1: np.ndarray) -> float:
@@ -377,7 +382,7 @@ class Task1:
     net_t: DenseNet
     acc: float
     ece_before: float
-    f_t: np.ndarray  # logits on the capped task-1 eval set
+    f_t: np.ndarray  # logits on the task-1 eval set
     gold: Gold
 
 
@@ -392,7 +397,7 @@ def task1_digest(scenario: Scenario) -> str:
 
 
 def train_task1(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
-                arch_id: str = "arch", eval_cap: int | None = None) -> Task1:
+                arch_id: str = "arch") -> Task1:
     """Train task 1 of a run from its seeded init, then measure it; raises
     DivergenceError as ``train_task`` does."""
     spec = arch.with_dims(scenario.input_dim, scenario.n_classes)
@@ -400,14 +405,13 @@ def train_task1(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     # each task is its own S-step phase with fresh momentum, freed when it ends
     train_task(net, init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay),
                scenario.task1_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task1"))
-    acc, ece_before, f_t = evaluate(net, scenario.task1_eval.take(slice(eval_cap)))
+    acc, ece_before, f_t = evaluate(net, scenario.task1_eval)
     return Task1(net, acc, ece_before, f_t, summarize_gold(net, scenario.calib_subset))
 
 
 # arch is otherwise unused: perfbench/spans.py reads the four leading positionals
 def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
-                 arch_id: str = "arch", eval_cap: int | None = None, *,
-                 task1: Task1 | DivergenceError) -> RunRecord:
+                 arch_id: str = "arch", *, task1: Task1 | DivergenceError) -> RunRecord:
     """Task 2 and the measurements of one (architecture, scenario, seed) run.
 
     ``task1`` is this run's end of task 1 from ``train_task1``. A
@@ -415,9 +419,6 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
     invalid.
     """
     t0 = time.time()
-    task1_eval = scenario.task1_eval.take(slice(eval_cap))
-    task2_eval = scenario.task2_eval.take(slice(eval_cap))
-
     note = ""
     valid = True
     try:
@@ -429,9 +430,9 @@ def run_scenario(arch: ArchitectureSpec, scenario: Scenario, cfg: TrainConfig,
                    scenario.task2_train, cfg, seed=derive_seed(cfg.seed, arch_id, "task2"),
                    recorder=recorder)
         traces = recorder.finalize(net)
-        _, ece_after, f_t1 = evaluate(net, task1_eval)
+        _, ece_after, f_t1 = evaluate(net, scenario.task1_eval)
         observed_shift = measure_logit_shift(task1.f_t, f_t1)
-        task2_eval_acc, _, _ = evaluate(net, task2_eval)
+        task2_eval_acc, _, _ = evaluate(net, scenario.task2_eval)
         task1_eval_acc, ece_before = task1.acc, task1.ece_before
     except DivergenceError as exc:
         valid = False

@@ -3,10 +3,11 @@
 Loaders parse the native binary containers (big-endian IDX for the
 MNIST family, record-based CIFAR-10 batches) at the paths that
 ``dataset_paths`` gives, which is also where ``synthdata`` writes.
-Scenario construction covers cross-dataset transfer, class splits, and
-rotated variants, and carves out the evaluation and calibration
-subsets. Standardization statistics are always computed on the task-1
-train split and frozen for every other split of the scenario.
+A ``Dataset`` is its images and labels. Scenario construction covers
+cross-dataset transfer, class splits, and rotated variants, and carves
+out the evaluation and calibration subsets; it is the one place that
+cuts an evaluation set to ``eval_cap`` rows. Standardization statistics
+are computed on the task-1 train split and frozen for every other split.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ def dataset_paths(root, name: str) -> dict:
 
 @dataclass
 class Dataset:
-    name: str
     images: np.ndarray   # (N, d) float64
     labels: np.ndarray   # (N,) int64
-    split: str           # "train" | "test"
 
     def __post_init__(self):
         if self.images.ndim != 2 or self.images.shape[0] == 0:
@@ -62,7 +61,7 @@ class Dataset:
 
     def take(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at ``indices``: a copy for an index array, a view for a slice."""
-        return Dataset(self.name, self.images[indices], self.labels[indices], self.split)
+        return Dataset(self.images[indices], self.labels[indices])
 
 
 class IdxFormatError(ValueError):
@@ -85,7 +84,7 @@ def _read_idx_header(data: bytes, path, expected_magic: int, kind: str) -> tuple
     return header_len, dims
 
 
-def load_idx(images_path, labels_path, name: str = "", split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a [0,1]-scaled flat dataset."""
     with open(images_path, "rb") as fh:
         img_data = fh.read()
@@ -94,6 +93,8 @@ def load_idx(images_path, labels_path, name: str = "", split: str = "train") -> 
 
     img_off, img_dims = _read_idx_header(img_data, images_path, IDX_IMAGE_MAGIC, "image")
     n, rows, cols = img_dims
+    if n == 0:
+        raise IdxFormatError(f"{images_path}: holds no images")
     payload = img_data[img_off:]
     if len(payload) < n * rows * cols:
         raise IdxFormatError(f"{images_path}: truncated file (payload shorter than header count)")
@@ -110,7 +111,7 @@ def load_idx(images_path, labels_path, name: str = "", split: str = "train") -> 
     pixels = np.frombuffer(payload, dtype=np.uint8, count=n * rows * cols)
     images = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(lab_data, dtype=np.uint8, count=n_labels, offset=lab_off).astype(np.int64)
-    return Dataset(name or "idx", images, labels, split)
+    return Dataset(images, labels)
 
 
 def _area_resize_weights(src: int, dst: int) -> np.ndarray:
@@ -133,7 +134,7 @@ def rgb_to_gray28(rgb: np.ndarray) -> np.ndarray:
     return resized.reshape(len(rgb), 28 * 28)
 
 
-def load_cifar10(batch_paths: Sequence, name: str = "cifar10", split: str = "train") -> Dataset:
+def load_cifar10(batch_paths: Sequence) -> Dataset:
     """Parse CIFAR-10 binary batches; converts to 28x28 grayscale (d_in = 784)."""
     if not batch_paths:
         raise ValueError("empty CIFAR batch list")
@@ -150,7 +151,7 @@ def load_cifar10(batch_paths: Sequence, name: str = "cifar10", split: str = "tra
     labels = arr[:, 0].astype(np.int64)
     rgb = arr[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
     images = rgb_to_gray28(rgb)
-    return Dataset(name, images, labels, split)
+    return Dataset(images, labels)
 
 
 def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
@@ -162,7 +163,7 @@ def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
     if side * side != ds.n_features:
         raise ValueError(f"images are not square: {ds.n_features} pixels")
     if angle_deg == 0:
-        return Dataset(ds.name, ds.images.copy(), ds.labels.copy(), ds.split)
+        return Dataset(ds.images.copy(), ds.labels.copy())
     theta = np.deg2rad(angle_deg)
     c, s = np.cos(theta), np.sin(theta)
     center = (side - 1) / 2.0
@@ -192,7 +193,7 @@ def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
         ric = np.clip(ri, 0, side - 1)
         cic = np.clip(ci, 0, side - 1)
         out += np.where(valid, wgt, 0.0) * imgs[:, ric, cic]
-    return Dataset(ds.name, out.reshape(len(ds), -1), ds.labels.copy(), ds.split)
+    return Dataset(out.reshape(len(ds), -1), ds.labels.copy())
 
 
 def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +205,18 @@ def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    return Dataset(ds.name, (ds.images - mean) / std, ds.labels.copy(), ds.split)
+    return Dataset((ds.images - mean) / std, ds.labels.copy())
+
+
+def subset_size(n: int, fraction: float) -> int:
+    """round(fraction * n), the size of a ``sample_subset`` of ``n`` rows; a
+    fraction outside (0, 1] or a subset of no row is refused."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    total = int(round(fraction * n))
+    if total < 1:
+        raise ValueError(f"fraction {fraction} yields < 1 sample from {n}")
+    return total
 
 
 def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -215,13 +227,9 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
     every present class at least one slot, falls back to an unstratified
     sample (flagged by a warning).
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
     n = len(ds)
-    total = int(round(fraction * n))
-    if total < 1:
-        raise ValueError(f"fraction {fraction} yields < 1 sample from {n}")
+    total = subset_size(n, fraction)
+    rng = np.random.default_rng(seed)
 
     classes, counts = np.unique(ds.labels, return_counts=True)
     quotas = fraction * counts
@@ -285,7 +293,7 @@ class ScenarioSpec:
         if self.kind == "transfer":
             return (self.src, _unchanged), (self.dst, _unchanged)
         if self.kind == "split":
-            return tuple((self.dataset, lambda ds, c=c: _filter_remap(ds, c))
+            return tuple((self.dataset, lambda ds, c=c: _filter_remap(ds, c, self))
                          for c in (self.classes_a, self.classes_b))
         return tuple((self.dataset, lambda ds, a=a: rotate_images(ds, a))
                      for a in (self.angle_a, self.angle_b))
@@ -322,24 +330,25 @@ def _unchanged(ds: Dataset) -> Dataset:
     return ds
 
 
-def _filter_remap(ds: Dataset, classes: Sequence[int]) -> Dataset:
+def _filter_remap(ds: Dataset, classes: Sequence[int], spec: ScenarioSpec) -> Dataset:
     classes = sorted(classes)
     mask = np.isin(ds.labels, classes)
     if not mask.any():
-        raise ValueError(f"no samples with classes {classes} in {ds.name}/{ds.split}")
+        raise ValueError(f"scenario {spec.scenario_id}: no samples with classes {classes} "
+                         f"in dataset {spec.dataset!r}")
     remap = {c: i for i, c in enumerate(classes)}
-    out = ds.take(np.flatnonzero(mask))
-    out.labels = np.array([remap[c] for c in out.labels], dtype=np.int64)
-    return out
+    labels = np.array([remap[c] for c in ds.labels[mask]], dtype=np.int64)
+    return Dataset(ds.images[mask], labels)
 
 
 def make_scenario(spec: ScenarioSpec, pool: Mapping[str, Mapping[str, Dataset]],
-                  seed: int) -> Scenario:
+                  seed: int, eval_cap: int | None = None) -> Scenario:
     """Build the task datasets, eval split, and calibration subset for a scenario.
 
     ``pool`` maps dataset name to its {"train": ..., "test": ...} splits,
     already loaded. Split scenarios remap each task's classes to [0, k);
-    transfer and rotated scenarios keep the 10-way label space.
+    transfer and rotated scenarios keep the 10-way label space. Each
+    evaluation set keeps its first ``eval_cap`` rows (a view; all if None).
     """
     for name in spec.dataset_names:
         if name not in pool:
@@ -358,12 +367,9 @@ def make_scenario(spec: ScenarioSpec, pool: Mapping[str, Mapping[str, Dataset]],
 
     ss = np.random.SeedSequence([seed, 0xD5])
     eval_seed, calib_seed, eval2_seed = (int(s) for s in ss.generate_state(3))
-    task1_eval = sample_subset(t1_test, spec.eval_fraction, eval_seed)
-    task1_eval.split = "eval"
-    task2_eval = sample_subset(t2_test, spec.eval_fraction, eval2_seed)
-    task2_eval.split = "eval"
+    task1_eval = sample_subset(t1_test, spec.eval_fraction, eval_seed).take(slice(eval_cap))
+    task2_eval = sample_subset(t2_test, spec.eval_fraction, eval2_seed).take(slice(eval_cap))
     calib = sample_subset(t1_train, spec.calib_fraction, calib_seed)
-    calib.split = "calib"
 
     return Scenario(spec, t1_train, task1_eval, t2_train, calib, task2_eval, n_classes, seed)
 

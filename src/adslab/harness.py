@@ -11,7 +11,8 @@ order, are one job, which trains task 1 once and returns its records. A
 job's records are appended together, jobs in the order of their first key
 (arch-major), once every job before it is complete, whatever the worker
 count. Every aggregate is computed from the key-sorted stream, so the
-record order never changes a reported number. Jobs run one at a time in
+record order never changes a reported number. Calibration runs evaluate
+at most 512 rows per evaluation set, as a fit reads only their traces. Jobs run one at a time in
 the calling thread: by default each drives a BLAS that runs one thread per
 CPU, so jobs on worker threads would only oversubscribe the CPUs. The BLAS
 thread count moves record bits; the worker count moves none.
@@ -42,7 +43,7 @@ from .clrun import (TrainConfig, append_records, format_value, parse_section, pa
                     read_ini, read_records, run_scenario, task1_digest, train_task1,
                     write_atomic, write_ini)
 from .datasets import (Scenario, ScenarioSpec, dataset_paths, load_cifar10, load_idx,
-                       make_scenario, sample_subset)
+                       make_scenario, sample_subset, subset_size)
 from .nncore import ArchitectureSpec, DivergenceError
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
@@ -242,8 +243,8 @@ def load_named_dataset(root: str, name: str) -> dict:
             "the make-data command."
         )
     if name == "cifar10":
-        return {split: load_cifar10(files, name, split) for split, files in paths.items()}
-    return {split: load_idx(*files, name=name, split=split) for split, files in paths.items()}
+        return {split: load_cifar10(files) for split, files in paths.items()}
+    return {split: load_idx(*files) for split, files in paths.items()}
 
 
 def load_dataset_pool(cfg: ExperimentConfig) -> dict:
@@ -273,11 +274,15 @@ def train_config(cfg: ExperimentConfig, steps: int, seed: int) -> TrainConfig:
 def calibration_task1(scenario: Scenario, fraction: float) -> Scenario:
     """The scenario with task 1's train set shrunk to the calibration fraction:
     the scenario's carved calibration subset when the fraction matches, else a
-    subsample with a seed tied to the scenario."""
-    if abs(fraction - scenario.spec.calib_fraction) < 1e-12:
-        return replace(scenario, task1_train=scenario.calib_subset)
-    return replace(scenario, task1_train=sample_subset(scenario.task1_train, fraction,
-                                                       scenario.seed + 7001))
+    subsample with a seed tied to the scenario.
+
+    Its evaluation sets keep their first 512 rows: a fit reads the layer
+    traces and validity of its runs, never an evaluation output."""
+    task1_train = (scenario.calib_subset if abs(fraction - scenario.spec.calib_fraction) < 1e-12
+                   else sample_subset(scenario.task1_train, fraction, scenario.seed + 7001))
+    return replace(scenario, task1_train=task1_train,
+                   task1_eval=scenario.task1_eval.take(slice(512)),
+                   task2_eval=scenario.task2_eval.take(slice(512)))
 
 
 def calibration_task2(scenario: Scenario, fraction: float) -> Scenario:
@@ -315,7 +320,7 @@ def plan_jobs(cfg: ExperimentConfig, keys: list, scenarios: dict, arch_by_id: di
         steps = steps_for(cfg, len(scenarios[scenario_id].task1_train))
         members = [complete(sid, scenarios[sid]) for _, sid, _ in keys]
         return run_job(arch_by_id[arch_id], members, train_config(cfg, steps, seed),
-                       arch_id=arch_id, eval_cap=cfg.eval_cap)
+                       arch_id=arch_id)
 
     return list(groups.values()), job
 
@@ -329,8 +334,7 @@ def run_calibration(cfg: ExperimentConfig, wanted: dict, pool_entries: list) -> 
     # the digests read only task 1; each task-2 subset is drawn when its job runs
     task1_sides = {pid: calibration_task1(sc, fraction) for pid, (sc, fraction) in wanted.items()}
     # dense cosine sampling for the depth fit
-    groups, job = plan_jobs(replace(cfg, trace_every=1, eval_cap=min(cfg.eval_cap, 512)),
-                            keys, task1_sides, dict(archs),
+    groups, job = plan_jobs(replace(cfg, trace_every=1), keys, task1_sides, dict(archs),
                             complete=lambda pid, sc: calibration_task2(sc, wanted[pid][1]))
     runs = dict(zip(itertools.chain(*groups), itertools.chain(*map(job, groups))))
     return {pid: calibrate_params([runs[(arch_id, pid, cfg.seeds[0])] for arch_id, _ in archs],
@@ -344,18 +348,18 @@ def experiment_run_keys(cfg: ExperimentConfig, pool_entries: list) -> list:
             for seed in cfg.seeds for spec in cfg.scenarios]
 
 
-def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig, arch_id: str = "arch",
-            eval_cap: int | None = None) -> list:
+def run_job(arch: ArchitectureSpec, scenarios: list, cfg: TrainConfig,
+            arch_id: str = "arch") -> list:
     """The records of one architecture and seed on scenarios whose task 1 is
     byte-identical, in scenario order.
 
     Task 1 trains once and its end is shared; its divergence flags every run
     invalid."""
     try:
-        task1 = train_task1(arch, scenarios[0], cfg, arch_id, eval_cap)
+        task1 = train_task1(arch, scenarios[0], cfg, arch_id)
     except DivergenceError as exc:
         task1 = exc
-    return [run_scenario(arch, scenario, cfg, arch_id=arch_id, eval_cap=eval_cap, task1=task1)
+    return [run_scenario(arch, scenario, cfg, arch_id=arch_id, task1=task1)
             for scenario in scenarios]
 
 
@@ -421,7 +425,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         # that includes a bad ADSLAB_WORKERS, although the jobs run one at a time
         cfg.resolved_workers()
         datasets = load_dataset_pool(cfg)
-        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0],
+                                                  eval_cap=cfg.eval_cap)
                      for s in cfg.scenarios}
         manifest_path = os.path.join(out, "pool.manifest")
         source = pool_manifest or manifest_path
@@ -432,6 +437,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
             if spec.input_dim != sc.input_dim:
                 raise ValueError(f"pool input_dim {spec.input_dim} ({arch_id}) differs from the "
                                  f"input width {sc.input_dim} of scenario {sc.scenario_id}")
+        # every calibration subset, unless a transfer preset scores every scenario
+        wanted = {profile_id(s.scenario_id, f): (scenarios[s.scenario_id], f)
+                  for s in cfg.scenarios for f in cfg.fractions_for(s) if not cfg.transfer_profile}
+        for pid, (sc, fraction) in wanted.items():
+            for task in ("task1_train", "task2_train"):
+                try:
+                    subset_size(len(getattr(sc, task)), fraction)
+                except ValueError as exc:
+                    raise ValueError(f"calibration subset {pid}, {task}: {exc}") from None
         if pool_manifest:
             _adopt_manifest(pool_manifest, manifest_path)
         save_config(cfg, ini)
@@ -439,10 +453,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         if pool is not None:
             save_manifest(pool, manifest_path, seed=cfg.pool.seed)
 
-        # calibration of every missing profile, unless a transfer preset scores
-        # every scenario; a missing scoring profile fails here, before the pool phase
-        wanted = {profile_id(s.scenario_id, f): (scenarios[s.scenario_id], f)
-                  for s in cfg.scenarios for f in cfg.fractions_for(s) if not cfg.transfer_profile}
+        # calibration of every missing profile; a missing scoring profile fails
+        # here, before the pool phase
         missing = {pid: v for pid, v in wanted.items() if not os.path.exists(cfg.profile_path(pid))}
         for pid, params in run_calibration(cfg, missing, entries).items():
             save_profile(params, cfg.profile_path(pid))

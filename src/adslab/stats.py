@@ -205,7 +205,6 @@ class SelectorReport:
     recall: np.ndarray
     auc_pr: float
     positive_rate: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -216,7 +215,6 @@ class CorrelationReport:
     p_value: float
     ci_low: float
     ci_high: float
-    n: int
 
 
 def low_drift(ece_drift: np.ndarray) -> np.ndarray:
@@ -246,7 +244,7 @@ def pr_analysis(scores, ece_drift) -> SelectorReport:
     thresholds = np.asarray(Q_GRID, dtype=np.float64)
     if n_pos == 0:
         return SelectorReport(thresholds, np.full(len(Q_GRID), math.nan),
-                              np.full(len(Q_GRID), math.nan), math.nan, 0.0, degenerate=True)
+                              np.full(len(Q_GRID), math.nan), math.nan, 0.0)
     order = np.argsort(scores, kind="stable")
     precision = np.empty(len(Q_GRID))
     recall = np.empty(len(Q_GRID))
@@ -273,4 +271,4 @@ def correlation_report(proxy, shift, n_perm: int, n_boot: int,
     dc = direction_consistency(proxy, shift)
     p = perm_p_value(proxy, shift, n_perm=n_perm, seed=seed)
     lo, hi = bootstrap_ci(proxy, shift, n_boot=n_boot, seed=seed + 1)
-    return CorrelationReport(rs, rk, dc, p, lo, hi, len(proxy))
+    return CorrelationReport(rs, rk, dc, p, lo, hi)

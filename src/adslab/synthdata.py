@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .datasets import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, dataset_paths
+from .datasets import CIFAR_TRAIN_BATCHES, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, dataset_paths
 
 # distinct prototype seeds per stand-in dataset name
 NAME_SEEDS = {"mnist": 101, "fashion_mnist": 202, "cifar10": 303}
@@ -82,13 +82,20 @@ def write_cifar_batch(images: np.ndarray, labels: np.ndarray, path) -> None:
         fh.write(np.hstack([labels[:, None], images.reshape(len(images), 3 * 32 * 32)]).tobytes())
 
 
+def check_counts(names, n_train: int, n_test: int, flags=("n_train", "n_test")) -> None:
+    """Refuse split sizes that would not load for every dataset in ``names``: an
+    empty split, or a CIFAR-10 train set with fewer images than batches."""
+    least_train = len(CIFAR_TRAIN_BATCHES) if "cifar10" in names else 1
+    for flag, n, least in zip(flags, (n_train, n_test), (least_train, 1)):
+        if n < least:
+            raise ValueError(f"{flag} must be >= {least} for {', '.join(names)}, got {n}")
+
+
 def generate_dataset(root, name: str, n_train: int = 6000, n_test: int = 1500,
                      seed: int = 0) -> dict:
     """Write a synthetic dataset to ``dataset_paths(root, name)`` and return those paths."""
+    check_counts([name], n_train, n_test)
     paths = dataset_paths(root, name)
-    if name == "cifar10" and n_train < len(paths["train"]):
-        raise ValueError(f"cifar10 needs n_train >= {len(paths['train'])}, one image "
-                         f"per train batch, got {n_train}")
     os.makedirs(os.path.join(root, name), exist_ok=True)
     for split, n in (("train", n_train), ("test", n_test)):
         if name == "cifar10":

@@ -120,7 +120,8 @@ def depth10_uniform_runs(lab_root):
                 for name in ("mnist", "fashion_mnist")}
     scenario = make_scenario(
         ScenarioSpec("mf_d10", "transfer", src="mnist", dst="fashion_mnist",
-                     eval_fraction=0.5, calib_fraction=0.3), datasets, seed=0)
+                     eval_fraction=0.5, calib_fraction=0.3),
+        datasets, seed=0, eval_cap=500)
     steps = math.ceil(len(scenario.task1_train) / 128)
     runs = []
     t0 = time.time()
@@ -129,8 +130,7 @@ def depth10_uniform_runs(lab_root):
         for seed in (0, 1, 2):
             cfg = TrainConfig(steps_per_task=steps, batch_size=128, trace_every=1,
                               path_segments=12, seed=seed)
-            runs.append(run_job(arch, [scenario], cfg,
-                                arch_id=f"u{width}", eval_cap=500)[0])
+            runs.append(run_job(arch, [scenario], cfg, arch_id=f"u{width}")[0])
     print(f"\n[depth-10 uniform batch: {time.time() - t0:.0f}s]")
     return runs
 
@@ -380,7 +380,8 @@ def test_transfer_preset_zero_shot(desk_mf, lab_root):
                 for name in ("mnist", "fashion_mnist")}
     scenario = make_scenario(
         ScenarioSpec("fm", "transfer", src="fashion_mnist", dst="mnist",
-                     eval_fraction=0.5, calib_fraction=0.3), datasets, seed=0)
+                     eval_fraction=0.5, calib_fraction=0.3),
+        datasets, seed=0, eval_cap=500)
     pool = PoolConfig(depths=(3, 5, 10), width_candidates=(256, 384, 512, 768),
                       per_category_counts={"random": 15}, seed=9)
     from adslab.archpool import generate_pool
@@ -388,7 +389,7 @@ def test_transfer_preset_zero_shot(desk_mf, lab_root):
     shifts, scores = [], []
     for i, arch in enumerate(generate_pool(pool)):
         cfg = TrainConfig(steps_per_task=steps, batch_size=128, trace_every=4, seed=0)
-        rec = run_job(arch, [scenario], cfg, arch_id=f"fm{i}", eval_cap=500)[0]
+        rec = run_job(arch, [scenario], cfg, arch_id=f"fm{i}")[0]
         shifts.append(rec.observed_shift)
         scores.append(compute_ads(arch, preset).value)
     rs = stats.spearman(scores, shifts)

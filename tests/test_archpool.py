@@ -112,7 +112,18 @@ class TestManifest:
         ids = [a for a, _ in loaded]
         assert ids == sorted(ids)  # stable ids in pool order
 
-    def test_manifest_rejects_bad_entry(self):
+    def test_manifest_rejects_bad_entry(self, tmp_path):
         text = "arch0\t1\t784,0,10\tuniform\n"
         with pytest.raises(ValueError, match="arch0"):
             manifest_to_pool(text)
+        good = "# arch pool manifest v1\narch0\t1\t784,8,10\tuniform\n"
+        # a repeated id would keep one of its specs and run the other's keys twice
+        with pytest.raises(ValueError, match="manifest line 3, entry arch0: .* repeats"):
+            manifest_to_pool(good + "arch0\t1\t784,16,10\tuniform\n")
+        with pytest.raises(ValueError, match="manifest line 3, entry arch1: 3 tab-separated"):
+            manifest_to_pool(good + "arch1\t1\t784,16,10\n")
+        path = tmp_path / "pool.manifest"
+        path.write_text(good + "arch1\t1\t784,16,10\tuniform\textra\n")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path}: manifest line 3, entry arch1: 5 tab-separated")

@@ -39,7 +39,7 @@ def toy_dataset(n=256, d=12, n_classes=3, seed=0, margin=2.0):
     for c in range(n_classes):
         centers[c, c] = margin
     images = centers[labels] + 0.3 * rng.standard_normal((n, d))
-    return Dataset("toy", images, labels, "train")
+    return Dataset(images, labels)
 
 
 def toy_scenario(seed=0, n=400):
@@ -87,7 +87,7 @@ class TestTrainTask:
         cfg = TrainConfig(steps_per_task=1, batch_size=256, lr=1e-2, seed=0)
         losses = []
         for _ in range(10):
-            _, _, st = train_task(net, state, ds, cfg, seed=cfg.seed)
+            st = train_task(net, state, ds, cfg, seed=cfg.seed)
             losses.append(st["final_loss"])
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -144,8 +144,7 @@ class TestComputeGold:
     def test_duplicated_subset_invariance(self):
         net = init_network(ARCH, seed=7)
         ds = toy_dataset(n=16, seed=3)
-        dup = Dataset("toy", np.vstack([ds.images, ds.images]),
-                      np.concatenate([ds.labels, ds.labels]), "train")
+        dup = Dataset(np.vstack([ds.images, ds.images]), np.concatenate([ds.labels, ds.labels]))
         g1 = compute_gold(net, ds)
         g2 = compute_gold(net, dup)
         for a, b in zip(g1, g2):
@@ -285,6 +284,6 @@ class TestDivergenceGuard:
         cfg = TrainConfig(steps_per_task=1, batch_size=256, lr=1e-2, seed=0)
         losses = []
         for _ in range(10):
-            _, _, st = train_task(net, state, ds, cfg, seed=cfg.seed)
+            st = train_task(net, state, ds, cfg, seed=cfg.seed)
             losses.append(st["final_loss"])
         assert all(b < a for a, b in zip(losses, losses[1:]))

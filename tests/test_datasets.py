@@ -33,7 +33,7 @@ def idx_pair(tmp_path_factory):
 class TestLoadIdx:
     def test_parses_counts_and_dims(self, idx_pair):
         ip, lp, images, labels = idx_pair
-        ds = load_idx(ip, lp, name="mnist")
+        ds = load_idx(ip, lp)
         assert len(ds) == 120
         assert ds.n_features == 784
         np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
@@ -57,6 +57,13 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx(cut, lp)
 
+    def test_zero_image_file_named(self, tmp_path):
+        ip, lp = tmp_path / "imgs", tmp_path / "labs"
+        write_idx_pair(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8), ip, lp)
+        with pytest.raises(IdxFormatError) as err:
+            load_idx(ip, lp)
+        assert str(err.value) == f"{ip}: holds no images"
+
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         ip, lp, images, labels = idx_pair
         short = tmp_path / "short-labels"
@@ -67,6 +74,19 @@ class TestLoadIdx:
             fh.write(labels[:100].tobytes())
         with pytest.raises(IdxFormatError, match="count mismatch"):
             load_idx(ip, short)
+
+
+class TestGenerateDataset:
+    @pytest.mark.parametrize("name,n_train,n_test,message", [
+        ("mnist", 10, 0, "n_test must be >= 1 for mnist, got 0"),
+        ("mnist", 0, 10, "n_train must be >= 1 for mnist, got 0"),
+        ("cifar10", 4, 10, "n_train must be >= 5 for cifar10, got 4"),
+    ])
+    def test_refuses_a_split_that_would_not_load(self, tmp_path, name, n_train, n_test,
+                                                 message):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(tmp_path / "d", name, n_train=n_train, n_test=n_test)
+        assert not (tmp_path / "d").exists()
 
 
 class TestLoadCifar10:
@@ -107,7 +127,7 @@ class TestRotate:
     def grid_ds(self, side=9, n=6, seed=0):
         rng = np.random.default_rng(seed)
         imgs = rng.uniform(0, 1, size=(n, side * side))
-        return Dataset("toy", imgs, rng.integers(0, 10, size=n), "train")
+        return Dataset(imgs, rng.integers(0, 10, size=n))
 
     def test_zero_angle_bitwise_identity(self):
         ds = self.grid_ds()
@@ -141,7 +161,7 @@ class TestRotate:
         np.testing.assert_array_equal(rot.labels, ds.labels)
 
     def test_non_square_rejected(self):
-        ds = Dataset("toy", np.zeros((3, 10)) + 0.5, np.zeros(3, dtype=np.int64), "train")
+        ds = Dataset(np.zeros((3, 10)) + 0.5, np.zeros(3, dtype=np.int64))
         with pytest.raises(ValueError, match="square"):
             rotate_images(ds, 10.0)
 
@@ -150,7 +170,7 @@ class TestStandardize:
     def test_per_feature_mean_is_zero_on_fit_split(self):
         rng = np.random.default_rng(4)
         imgs = rng.uniform(0, 1, size=(500, 49))
-        ds = Dataset("toy", imgs, rng.integers(0, 10, size=500), "train")
+        ds = Dataset(imgs, rng.integers(0, 10, size=500))
         mean, std = feature_stats(ds.images)
         out = standardize(ds, mean, std)
         assert np.max(np.abs(out.images.mean(axis=0))) < 1e-9
@@ -158,7 +178,7 @@ class TestStandardize:
     def test_constant_feature_maps_to_zero(self):
         imgs = np.ones((50, 3))
         imgs[:, 1] = np.linspace(0, 1, 50)
-        ds = Dataset("toy", imgs, np.zeros(50, dtype=np.int64), "train")
+        ds = Dataset(imgs, np.zeros(50, dtype=np.int64))
         mean, std = feature_stats(ds.images)
         out = standardize(ds, mean, std)
         assert np.all(out.images[:, 0] == 0.0)
@@ -169,7 +189,7 @@ class TestSampleSubset:
         rng = np.random.default_rng(seed)
         labels = np.repeat(np.arange(n_classes), per_class)
         imgs = rng.uniform(0, 1, size=(labels.size, 16))
-        return Dataset("toy", imgs, labels, "train")
+        return Dataset(imgs, labels)
 
     def test_full_fraction_is_permutation(self):
         ds = self.balanced_ds()
@@ -194,7 +214,7 @@ class TestSampleSubset:
             frac = float(rng.uniform(0.02, 1.0))
             counts = rng.integers(int(np.ceil(1 / frac)) + 1, 400, size=rng.integers(1, 11))
             labels = np.repeat(np.arange(len(counts)), counts)
-            ds = Dataset("toy", np.zeros((len(labels), 1)), labels, "train")
+            ds = Dataset(np.zeros((len(labels), 1)), labels)
             sub = sample_subset(ds, frac, seed=case)
             assert len(sub) == round(frac * len(labels))
             got = np.bincount(sub.labels, minlength=len(counts))
@@ -224,7 +244,7 @@ def synth_pool(tmp_path_factory):
     pool = {}
     for name in ("mnist", "fashion_mnist"):
         paths = generate_dataset(root, name, n_train=600, n_test=300, seed=3)
-        pool[name] = {split: load_idx(*files, name, split) for split, files in paths.items()}
+        pool[name] = {split: load_idx(*files) for split, files in paths.items()}
     return pool
 
 
@@ -261,6 +281,27 @@ class TestMakeScenario:
         sc = make_scenario(spec, synth_pool, seed=0)
         assert sc.n_classes == 10
         assert len(sc.task2_train) == len(sc.task1_train)
+
+    @pytest.mark.parametrize("cap", [1, 100, 150, 10_000])
+    def test_eval_cap_keeps_the_leading_rows(self, synth_pool, cap):
+        spec = ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist",
+                            eval_fraction=0.5)
+        whole = make_scenario(spec, synth_pool, seed=3)
+        cut = make_scenario(spec, synth_pool, seed=3, eval_cap=cap)
+        for name in ("task1_eval", "task2_eval"):
+            full, kept = getattr(whole, name), getattr(cut, name)
+            n = min(cap, len(full))  # each evaluation set has 150 rows
+            assert (kept.images.tobytes(), kept.labels.tobytes()) == \
+                   (full.images[:n].tobytes(), full.labels[:n].tobytes())
+        for name in ("task1_train", "task2_train", "calib_subset"):
+            assert getattr(cut, name).images.tobytes() == getattr(whole, name).images.tobytes()
+
+    def test_split_without_a_class_names_the_scenario(self, synth_pool):
+        spec = ScenarioSpec("split_x", "split", dataset="mnist",
+                            classes_a=(0, 1), classes_b=(10, 11))
+        with pytest.raises(ValueError, match=r"scenario split_x: no samples with classes "
+                                             r"\[10, 11\] in dataset 'mnist'"):
+            make_scenario(spec, synth_pool, seed=0)
 
     def test_missing_dataset_named(self, synth_pool):
         spec = ScenarioSpec("mc", "transfer", src="mnist", dst="cifar10")

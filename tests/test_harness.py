@@ -92,7 +92,7 @@ def record_lines(out):
 def stand_alone_line(cfg, scenario, arch, arch_id, seed):
     """The records.jsonl line, without wall_time, of a run made as a job of its own."""
     tc = train_config(cfg, steps_for(cfg, len(scenario.task1_train)), seed)
-    (rec,) = run_job(arch, [scenario], tc, arch_id=arch_id, eval_cap=cfg.eval_cap)
+    (rec,) = run_job(arch, [scenario], tc, arch_id=arch_id)
     d = json.loads(rec.to_json())
     d.pop("wall_time")
     return json.dumps(d, sort_keys=True)
@@ -263,8 +263,8 @@ class TestDatasetResolution:
         on_disk = sorted(os.path.join(root, name, f) for f in os.listdir(os.path.join(root, name)))
         assert on_disk == sorted(p for files in written.values() for p in files)
         loaded = load_named_dataset(root, name)
-        assert {split: (len(ds), ds.n_features, ds.split) for split, ds in loaded.items()} == \
-               {"train": (40, 784, "train"), "test": (15, 784, "test")}
+        assert {split: (len(ds), ds.n_features) for split, ds in loaded.items()} == \
+               {"train": (40, 784), "test": (15, 784)}
 
 
 class TestRunExperiment:
@@ -337,6 +337,17 @@ class TestRunExperiment:
                                    seeds=(0,), workers=2))
         assert len(threads) == 4 + 6  # calibration and pool jobs
         assert set(threads.values()) == {threading.get_ident()}
+
+    def test_calibration_fraction_without_samples_refused_before_the_snapshot(self, data_root):
+        # 0.0005 of 700 task-1 images rounds to none; refused after the snapshot,
+        # the corrected config would then be refused as a changed one
+        cfg = tiny_config(str(data_root), out_name="exp_tiny_fraction", seeds=(0,))
+        with pytest.raises(ValueError, match="calibration subset mf_f000, task1_train: "
+                                             "fraction 0.0005 yields < 1 sample from 700"):
+            run_experiment(replace(cfg, calib_fractions=(0.0005,)))
+        assert not os.path.exists(os.path.join(cfg.out_dir, "experiment.ini"))
+        run_experiment(replace(cfg, calib_fractions=(0.4,)))
+        assert len(read_records(os.path.join(cfg.out_dir, "records.jsonl"))) == 6
 
     def test_incomplete_experiment_lists_missing(self, data_root, tmp_path):
         cfg = tiny_config(str(data_root), out_name="exp_frag", seeds=(0,))
@@ -440,7 +451,8 @@ class TestSharedTask1:
         cfg = shared_config(str(data_root), "exp_shared_alone")
         out = run_experiment(cfg)
         datasets = load_dataset_pool(cfg)
-        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0],
+                                                  eval_cap=cfg.eval_cap)
                      for s in cfg.scenarios}
         assert task1_digest(scenarios["mf"]) == task1_digest(scenarios["rot"])
         arch_by_id = dict(load_manifest(os.path.join(out, "pool.manifest")))
@@ -471,7 +483,7 @@ class TestSharedTask1:
         datasets = load_dataset_pool(cfg)
         for spec in cfg.scenarios:
             pid = profile_id(spec.scenario_id, spec.calib_fraction)
-            sc = make_scenario(spec, datasets, seed=cfg.seeds[0])
+            sc = make_scenario(spec, datasets, seed=cfg.seeds[0], eval_cap=cfg.eval_cap)
             alone = run_calibration(replace(cfg, scenarios=(spec,)),
                                     {pid: (sc, spec.calib_fraction)}, pool)[pid]
             save_profile(alone, tmp_path / f"{pid}.profile")
@@ -491,7 +503,8 @@ class TestSharedTask1:
         assert [task1_seeds[derive_seed(seed, arch_id, "task1")]
                 for arch_id in arch_by_id for seed in cfg.seeds] == [2] * len(arch_by_id) * 2
         datasets = load_dataset_pool(cfg)
-        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0])
+        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0],
+                                                  eval_cap=cfg.eval_cap)
                      for s in cfg.scenarios}
         lines = record_lines(out)
         keys = [(d["arch_id"], d["scenario_id"], d["seed"]) for d in map(json.loads, lines)]
@@ -584,7 +597,8 @@ class TestSharedTask1:
         # the weights) held through task 2 would exceed the slack
         cfg = shared_config(str(data_root), "unused")
         datasets = load_dataset_pool(cfg)
-        mf, rot = (make_scenario(s, datasets, seed=0) for s in cfg.scenarios)
+        mf, rot = (make_scenario(s, datasets, seed=0, eval_cap=cfg.eval_cap)
+                   for s in cfg.scenarios)
         arch = ArchitectureSpec(3, (784, 256, 384, 256, 10), "spindle")
         tc = train_config(cfg, steps_for(cfg, len(mf.task1_train)), 0)
         weight_bytes = 8 * (784 * 256 + 256 * 384 + 384 * 256 + 256 * 10)
@@ -592,7 +606,7 @@ class TestSharedTask1:
         def peak(scenarios):
             tracemalloc.start()
             try:
-                records = list(run_job(arch, scenarios, tc, arch_id="a0", eval_cap=cfg.eval_cap))
+                records = list(run_job(arch, scenarios, tc, arch_id="a0"))
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -686,7 +700,8 @@ class TestCli:
                                   ("train", "weight_decay", "-1"),
                                   ("train", "weight_decay", "inf"),
                                   ("experiment", "min_task1_acc", "2.0"),
-                                  ("experiment", "min_task1_acc", "nan")]:
+                                  ("experiment", "min_task1_acc", "nan"),
+                                  ("experiment", "seeds", "0,,1"), ("pool", "widths", "32,,")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad

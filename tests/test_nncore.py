@@ -465,7 +465,7 @@ def test_training_steps_bit_identical_to_list_reference(widths, monkeypatch):
     rng = np.random.default_rng(17)
     labels = rng.integers(0, 5, size=97)
     images = rng.standard_normal((97, 20)) + np.eye(5, 20)[labels] * 2.0
-    dataset = Dataset("toy", images, labels, "train")
+    dataset = Dataset(images, labels)
     cfg = TrainConfig(steps_per_task=27, batch_size=32, lr=0.05, momentum=0.9,
                       weight_decay=5e-4)
     spec = small_spec(widths)

@@ -48,8 +48,7 @@ def test_trace_points_fire_in_a_run():
 
     def blobs(n):
         labels = rng.integers(0, 3, size=n)
-        return Dataset("toy", rng.standard_normal((n, 12)) + 2.0 * np.eye(3, 12)[labels],
-                       labels, "train")
+        return Dataset(rng.standard_normal((n, 12)) + 2.0 * np.eye(3, 12)[labels], labels)
 
     scenario = Scenario(ScenarioSpec("toy_sc", "transfer", src="a", dst="b"), blobs(200),
                         blobs(50), blobs(200), blobs(30), blobs(50), n_classes=3, seed=0)
