@@ -13,6 +13,7 @@ are computed on the task-1 train split and frozen for every other split.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -254,6 +255,16 @@ def sample_subset(ds: Dataset, fraction: float, seed: int) -> Dataset:
     return ds.take(idx)
 
 
+ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+
+
+def check_id(what: str, value: str) -> None:
+    """Refuse an id that is not a plain name: ids become file names inside
+    the experiment directory and unquoted CSV cells."""
+    if not ID_PATTERN.fullmatch(value):
+        raise ValueError(f"{what} {value!r} must match {ID_PATTERN.pattern}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One two-task continual-learning scenario recipe."""
@@ -271,6 +282,9 @@ class ScenarioSpec:
     calib_fraction: float = 0.3
 
     def __post_init__(self):
+        check_id("scenario id", self.scenario_id)
+        for name in ("classes_a", "classes_b"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.kind not in ("transfer", "split", "rotated"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         for frac in (self.eval_fraction, self.calib_fraction):

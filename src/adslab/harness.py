@@ -42,8 +42,8 @@ from .calib import CalibrationParams, calibrate_params, load_profile, save_profi
 from .clrun import (TrainConfig, append_records, format_value, parse_section, parse_value,
                     read_ini, read_records, run_scenario, task1_digest, train_task1,
                     write_atomic, write_ini)
-from .datasets import (Scenario, ScenarioSpec, dataset_paths, load_cifar10, load_idx,
-                       make_scenario, sample_subset, subset_size)
+from .datasets import (Scenario, ScenarioSpec, check_id, dataset_paths, load_cifar10,
+                       load_idx, make_scenario, sample_subset, subset_size)
 from .nncore import ArchitectureSpec, DivergenceError
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
@@ -78,7 +78,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Refuse every value a later stage would refuse, before any of it is saved."""
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        # a list would be written to experiment.ini as its repr, which no load reads
+        for name in ("scenarios", "seeds", "calib_fractions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
         if not self.seeds:
@@ -91,6 +93,8 @@ class ExperimentConfig:
                                    ("n_boot", self.n_boot, stats.MIN_BOOT)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.transfer_profile:
+            check_id("[calib] profile", self.transfer_profile)
         if not 0.0 <= self.min_task1_acc <= 1.0:
             raise ValueError(f"min_task1_acc must be in [0, 1], got {self.min_task1_acc}")
         if not all(0.0 < f <= 1.0 for f in self.calib_fractions):
@@ -432,6 +436,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         source = pool_manifest or manifest_path
         pool = None if pool_manifest or os.path.exists(manifest_path) else generate_pool(cfg.pool)
         entries = load_manifest(source) if pool is None else pool_entries(pool)
+        # the report ranks architectures; fewer than 3 would strand the finished runs
+        if len(entries) < 3:
+            raise ValueError(f"the pool has {len(entries)} architectures; an experiment "
+                             "needs >= 3 to report")
         # nets train at each scenario's input width, but ADS scores the pool's
         for (arch_id, spec), sc in itertools.product(entries, scenarios.values()):
             if spec.input_dim != sc.input_dim:
@@ -482,9 +490,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
 
 @dataclass
 class ScenarioAggregate:
-    scenario_id: str
+    """A scenario's included architectures and their seed-mean observations;
+    no profile enters it, so every profile scores the same aggregate."""
     arch_ids: list
-    ads: np.ndarray
     shift: np.ndarray
     ece_drift: np.ndarray
     n_runs: int
@@ -492,7 +500,7 @@ class ScenarioAggregate:
 
 
 def aggregate_scenario(records: list, sid: str, arch_by_id: dict,
-                       params: CalibrationParams, min_task1_acc: float) -> ScenarioAggregate:
+                       min_task1_acc: float) -> ScenarioAggregate:
     by_arch: dict = {}
     n_excluded = 0
     n_runs = 0
@@ -506,23 +514,23 @@ def aggregate_scenario(records: list, sid: str, arch_by_id: dict,
             continue
         by_arch.setdefault(rec.arch_id, []).append(rec)
     arch_ids = sorted(a for a in by_arch if a in arch_by_id)
-    ads_vals, shifts, drifts = [], [], []
-    for arch_id in arch_ids:
-        runs = by_arch[arch_id]
-        ads_vals.append(compute_ads(arch_by_id[arch_id], params).value)
-        shifts.append(float(np.mean([r.observed_shift for r in runs])))
-        drifts.append(float(np.mean([r.ece_after - r.ece_before for r in runs])))
-    return ScenarioAggregate(sid, arch_ids, np.array(ads_vals), np.array(shifts),
-                             np.array(drifts), n_runs, n_excluded)
+    shifts = [float(np.mean([r.observed_shift for r in by_arch[a]])) for a in arch_ids]
+    drifts = [float(np.mean([r.ece_after - r.ece_before for r in by_arch[a]])) for a in arch_ids]
+    return ScenarioAggregate(arch_ids, np.array(shifts), np.array(drifts), n_runs, n_excluded)
 
 
-def selector_baseline(agg: ScenarioAggregate, n_perms: int, seed: int) -> float:
+def ads_scores(agg: ScenarioAggregate, arch_by_id: dict, params: CalibrationParams) -> np.ndarray:
+    """The ADS of each of an aggregate's architectures under a profile."""
+    return np.array([compute_ads(arch_by_id[a], params).value for a in agg.arch_ids])
+
+
+def selector_baseline(ads: np.ndarray, ece_drift: np.ndarray, n_perms: int, seed: int) -> float:
     """Mean AUC-PR of score-shuffled selectors (the random baseline)."""
-    positive = stats.low_drift(agg.ece_drift)
+    positive = stats.low_drift(ece_drift)
     if n_perms < 1 or not positive.any():
         return math.nan
     rng = np.random.default_rng(seed)
-    return float(np.mean([stats.average_precision(rng.permutation(agg.ads), positive)
+    return float(np.mean([stats.average_precision(rng.permutation(ads), positive)
                           for _ in range(n_perms)]))
 
 
@@ -534,8 +542,10 @@ def write_csv(path, header: list, rows: list) -> None:
 
 
 def emit_report(exp_dir: str) -> list:
-    """Rebuild every CSV/SVG report from the persisted experiment state."""
-    cfg = load_config(os.path.join(exp_dir, "experiment.ini"))
+    """Rebuild every CSV/SVG report from the experiment directory ``exp_dir``,
+    wherever it now lives: profiles are read from its ``params`` unless the
+    config names a ``profiles_dir``."""
+    cfg = replace(load_config(os.path.join(exp_dir, "experiment.ini")), out_dir=exp_dir)
     records_path = os.path.join(exp_dir, "records.jsonl")
     manifest_path = os.path.join(exp_dir, "pool.manifest")
     for required in (records_path, manifest_path):
@@ -557,27 +567,29 @@ def emit_report(exp_dir: str) -> list:
     os.makedirs(reports_dir, exist_ok=True)
     written = []
 
-    corr_rows = []
-    sel_rows = []
-    summary_rows = []
+    # the calibration-transfer table, when a fractions grid is set
+    grid = cfg.calib_fractions if len(cfg.calib_fractions) > 1 else ()
+    corr_rows, sel_rows, summary_rows, transfer_rows = [], [], [], []
     for spec in cfg.scenarios:
         sid = spec.scenario_id
-        params = load_profile(cfg.scoring_profile_path(spec))
-        agg = aggregate_scenario(records, sid, arch_by_id, params, cfg.min_task1_acc)
-        if len(agg.arch_ids) < 3:
+        agg = aggregate_scenario(records, sid, arch_by_id, cfg.min_task1_acc)
+        n_arch = len(agg.arch_ids)
+        if n_arch < 3:
             raise ValueError(
-                f"insufficient sample: scenario {sid} has {len(agg.arch_ids)} "
+                f"insufficient sample: scenario {sid} has {n_arch} "
                 "architectures after exclusions (need >= 3)")
-        rep = stats.correlation_report(agg.ads, agg.shift, n_perm=cfg.n_perm,
+        ads = ads_scores(agg, arch_by_id, load_profile(cfg.scoring_profile_path(spec)))
+        rep = stats.correlation_report(ads, agg.shift, n_perm=cfg.n_perm,
                                        n_boot=cfg.n_boot, seed=cfg.seeds[0])
-        corr_rows.append([sid, len(agg.arch_ids), rep.spearman, rep.kendall,
+        corr_rows.append([sid, n_arch, rep.spearman, rep.kendall,
                           rep.dc, rep.p_value, rep.ci_low, rep.ci_high])
-        summary_rows.append([sid, agg.n_runs, agg.n_excluded, len(agg.arch_ids)])
+        summary_rows.append([sid, agg.n_runs, agg.n_excluded, n_arch])
 
-        if len(agg.arch_ids) >= 4:
-            sel = stats.pr_analysis(agg.ads, agg.ece_drift)
-            baseline = selector_baseline(agg, cfg.baseline_perms, seed=cfg.seeds[0])
-            sel_rows.append([sid, sel.auc_pr, sel.positive_rate, baseline, len(agg.arch_ids)])
+        if n_arch >= 4:
+            sel = stats.pr_analysis(ads, agg.ece_drift)
+            baseline = selector_baseline(ads, agg.ece_drift, cfg.baseline_perms,
+                                         seed=cfg.seeds[0])
+            sel_rows.append([sid, sel.auc_pr, sel.positive_rate, baseline, n_arch])
             pr_path = os.path.join(reports_dir, f"selector_{sid}.csv")
             write_csv(pr_path, ["threshold", "precision", "recall"],
                       [[q, p, r] for q, p, r in zip(sel.thresholds, sel.precision, sel.recall)])
@@ -587,45 +599,34 @@ def emit_report(exp_dir: str) -> list:
                       f"{sid}: selector PR (AUC-PR {sel.auc_pr:.3f})", pr_svg)
             written.append(pr_svg)
         else:
-            sel_rows.append([sid, math.nan, math.nan, math.nan, len(agg.arch_ids)])
+            sel_rows.append([sid, math.nan, math.nan, math.nan, n_arch])
 
         scatter = os.path.join(reports_dir, f"scatter_{sid}.svg")
-        svg_scatter(agg.ads, agg.shift, "architecture-driven shift (proxy)",
+        svg_scatter(ads, agg.shift, "architecture-driven shift (proxy)",
                     "observed logit shift", f"{sid}: proxy vs observed shift", scatter)
         written.append(scatter)
 
-    corr_path = os.path.join(reports_dir, "correlation.csv")
-    write_csv(corr_path, ["scenario", "n_arch", "spearman", "kendall", "dc",
-                          "p_value", "ci_low", "ci_high"], corr_rows)
-    written.append(corr_path)
+        # each grid fraction's profile scores the same aggregate
+        for fraction in grid:
+            path = cfg.profile_path(profile_id(sid, fraction))
+            if os.path.exists(path):
+                fraction_ads = ads_scores(agg, arch_by_id, load_profile(path))
+                transfer_rows.append([sid, fraction, stats.spearman(fraction_ads, agg.shift),
+                                      stats.direction_consistency(fraction_ads, agg.shift)])
 
-    summary_path = os.path.join(reports_dir, "runs_summary.csv")
-    write_csv(summary_path,
-              ["scenario", "n_runs", "n_excluded", "n_arch_used"], summary_rows)
-    written.append(summary_path)
-
-    sel_sum_path = os.path.join(reports_dir, "selector_summary.csv")
-    write_csv(sel_sum_path, ["scenario", "auc_pr", "positive_rate",
-                             "random_baseline", "n_arch"], sel_rows)
-    written.append(sel_sum_path)
-
-    # calibration-transfer table across subset fractions, when a grid is set
-    if len(cfg.calib_fractions) > 1:
-        rows = []
-        for spec in cfg.scenarios:
-            sid = spec.scenario_id
-            for fraction in cfg.calib_fractions:
-                path = cfg.profile_path(profile_id(sid, fraction))
-                if not os.path.exists(path):
-                    continue
-                params = load_profile(path)
-                agg = aggregate_scenario(records, sid, arch_by_id, params, cfg.min_task1_acc)
-                rows.append([sid, fraction, stats.spearman(agg.ads, agg.shift),
-                             stats.direction_consistency(agg.ads, agg.shift)])
-        transfer_path = os.path.join(reports_dir, "transfer.csv")
-        write_csv(transfer_path, ["scenario", "fraction", "spearman", "dc"], rows)
-        written.append(transfer_path)
-
+    tables = [("correlation.csv", ["scenario", "n_arch", "spearman", "kendall", "dc",
+                                   "p_value", "ci_low", "ci_high"], corr_rows),
+              ("runs_summary.csv", ["scenario", "n_runs", "n_excluded", "n_arch_used"],
+               summary_rows),
+              ("selector_summary.csv", ["scenario", "auc_pr", "positive_rate",
+                                        "random_baseline", "n_arch"], sel_rows)]
+    if grid:
+        tables.append(("transfer.csv", ["scenario", "fraction", "spearman", "dc"],
+                       transfer_rows))
+    for name, header, rows in tables:
+        path = os.path.join(reports_dir, name)
+        write_csv(path, header, rows)
+        written.append(path)
     return written
 
 
@@ -637,14 +638,9 @@ SVG_W, SVG_H = 640, 480
 MARGIN = 60
 
 
-def _axis_ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
-    return list(np.linspace(lo, hi, n))
-
-
-def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> tuple:
-    """The frame's SVG elements and the data-to-pixel maps of x and y."""
+def _svg_frame(title: str, xlabel: str, ylabel: str, xr, yr) -> tuple:
+    """The frame's SVG elements, with five ticks spanning each of the non-empty
+    ranges ``xr`` and ``yr``, and the data-to-pixel maps of x and y."""
     def sx(v):
         return MARGIN + (v - xr[0]) / (xr[1] - xr[0]) * (SVG_W - 2 * MARGIN)
 
@@ -664,12 +660,12 @@ def _svg_frame(title: str, xlabel: str, ylabel: str, xt, yt, xr, yr) -> tuple:
         f'<text x="18" y="{SVG_H / 2:.1f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 18 {SVG_H / 2:.1f})">{ylabel}</text>',
     ]
-    for v in xt:
+    for v in np.linspace(*xr, 5):
         parts.append(f'<line x1="{sx(v):.1f}" y1="{SVG_H - MARGIN}" x2="{sx(v):.1f}" '
                      f'y2="{SVG_H - MARGIN + 5}" stroke="black"/>')
         parts.append(f'<text x="{sx(v):.1f}" y="{SVG_H - MARGIN + 18}" text-anchor="middle" '
                      f'font-size="10">{v:.3g}</text>')
-    for v in yt:
+    for v in np.linspace(*yr, 5):
         parts.append(f'<line x1="{MARGIN - 5}" y1="{sy(v):.1f}" x2="{MARGIN}" '
                      f'y2="{sy(v):.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN - 8}" y="{sy(v):.1f}" text-anchor="end" '
@@ -682,7 +678,7 @@ def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
     y = np.asarray(y, dtype=np.float64)
     xr = (float(x.min()), float(x.max()) if x.max() > x.min() else float(x.min()) + 1)
     yr = (float(y.min()), float(y.max()) if y.max() > y.min() else float(y.min()) + 1)
-    parts, sx, sy = _svg_frame(title, xlabel, ylabel, _axis_ticks(*xr), _axis_ticks(*yr), xr, yr)
+    parts, sx, sy = _svg_frame(title, xlabel, ylabel, xr, yr)
     ranks = stats.rankdata(x)
     for i in range(len(x)):
         parts.append(f'<circle cx="{sx(x[i]):.1f}" cy="{sy(y[i]):.1f}" r="3.5" '
@@ -697,8 +693,7 @@ def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
 def svg_curve(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xr, yr = (0.0, 1.0), (0.0, 1.0)
-    parts, sx, sy = _svg_frame(title, xlabel, ylabel, _axis_ticks(0, 1), _axis_ticks(0, 1), xr, yr)
+    parts, sx, sy = _svg_frame(title, xlabel, ylabel, (0.0, 1.0), (0.0, 1.0))
     order = np.argsort(x, kind="stable")
     pts = " ".join(f"{sx(x[i]):.1f},{sy(y[i]):.1f}" for i in order)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="firebrick" stroke-width="2"/>')

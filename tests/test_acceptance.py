@@ -23,6 +23,7 @@ from adslab.clrun import RunRecord, TrainConfig, read_records
 from adslab.datasets import ScenarioSpec, make_scenario
 from adslab.harness import (
     ExperimentConfig,
+    ads_scores,
     aggregate_scenario,
     load_named_dataset,
     run_experiment,
@@ -106,9 +107,9 @@ def desk_split(lab_root):
     records = read_records(os.path.join(out, "records.jsonl"))
     pool_entries = load_manifest(os.path.join(out, "pool.manifest"))
     params = load_profile(os.path.join(out, "params", "split_m_f030.profile"))
-    agg = aggregate_scenario(records, "split_m", dict(pool_entries), params,
-                             cfg.min_task1_acc)
-    return {"cfg": cfg, "out": out, "agg": agg}
+    agg = aggregate_scenario(records, "split_m", dict(pool_entries), cfg.min_task1_acc)
+    return {"cfg": cfg, "out": out, "agg": agg,
+            "ads": ads_scores(agg, dict(pool_entries), params)}
 
 
 @pytest.fixture(scope="session")
@@ -323,11 +324,10 @@ def test_criterion_6_middle_layer_vulnerability(depth10_uniform_runs):
               f"synthetic fit b={fit.b:.12f} c={fit.c:.12f}")
 
 
-def mf_aggregate(desk_mf, fraction: int):
+def mf_ads(desk_mf, agg, fraction: int):
     params = load_profile(os.path.join(
         desk_mf["out"], "params", f"mf_f{fraction:03d}.profile"))
-    return aggregate_scenario(desk_mf["records"], "mf", desk_mf["arch_by_id"],
-                              params, desk_mf["cfg"].min_task1_acc), params
+    return ads_scores(agg, desk_mf["arch_by_id"], params)
 
 
 def test_criterion_7_headline_correlation(desk_mf):
@@ -346,10 +346,10 @@ def test_criterion_7_headline_correlation(desk_mf):
 
 
 def test_criterion_8_calibration_transferability(desk_mf):
-    agg30, _ = mf_aggregate(desk_mf, 30)
-    agg100, _ = mf_aggregate(desk_mf, 100)
-    rs30 = stats.spearman(agg30.ads, agg30.shift)
-    rs100 = stats.spearman(agg100.ads, agg100.shift)
+    agg = aggregate_scenario(desk_mf["records"], "mf", desk_mf["arch_by_id"],
+                             desk_mf["cfg"].min_task1_acc)
+    rs30 = stats.spearman(mf_ads(desk_mf, agg, 30), agg.shift)
+    rs100 = stats.spearman(mf_ads(desk_mf, agg, 100), agg.shift)
     gap = abs(rs30 - rs100)
     transfer_csv = os.path.join(desk_mf["out"], "reports", "transfer.csv")
     criterion(8, "30%-subset calibration within 0.15 Spearman of full-data",
@@ -358,9 +358,9 @@ def test_criterion_8_calibration_transferability(desk_mf):
 
 
 def test_criterion_9_selector(desk_split):
-    agg = desk_split["agg"]
-    rep = stats.pr_analysis(agg.ads, agg.ece_drift)
-    baseline = selector_baseline(agg, 200, seed=0)
+    agg, ads = desk_split["agg"], desk_split["ads"]
+    rep = stats.pr_analysis(ads, agg.ece_drift)
+    baseline = selector_baseline(ads, agg.ece_drift, 200, seed=0)
     criterion(9, "stability selector beats the permutation baseline",
               rep.auc_pr > 0.55 and rep.auc_pr > baseline,
               f"auc-pr {rep.auc_pr:.3f} vs baseline {baseline:.3f}, "

@@ -1,5 +1,6 @@
 """Binary-format, rotation, scenario, and subsetting tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -316,4 +317,11 @@ class TestMakeScenario:
         with pytest.raises(ValueError, match="disjoint"):
             ScenarioSpec("bad", "split", dataset="mnist",
                          classes_a=(0, 1, 2), classes_b=(2, 3, 4))
+
+    @pytest.mark.parametrize("bad", ["../../x,y", "a,b", "a b", "", ".hidden", "-x"])
+    def test_id_that_is_not_a_plain_name_rejected(self, bad):
+        # the id names profile files and is a CSV cell: "../../x,y" would put a
+        # profile outside the experiment and shift every later report column
+        with pytest.raises(ValueError, match=re.escape(f"scenario id {bad!r} must match")):
+            ScenarioSpec(bad, "transfer", src="mnist", dst="fashion_mnist")
 

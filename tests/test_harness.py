@@ -6,6 +6,7 @@ import fcntl
 import json
 import os
 import re
+import shutil
 import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -160,12 +161,21 @@ class TestConfigFile:
 
     def test_percent_in_strings_round_trips(self, tmp_path):
         # INI values are literal: no %-interpolation on either side
-        cfg = replace(non_default_config("transfer"), out_dir="runs/100%",
-                      data_root="d%(x)s", transfer_profile="m%f")
+        cfg = replace(non_default_config("transfer"), out_dir="runs/100%", data_root="d%(x)s")
         save_config(cfg, tmp_path / "exp.ini")
         back = load_config(tmp_path / "exp.ini")
-        assert (back.out_dir, back.data_root, back.transfer_profile) == \
-               ("runs/100%", "d%(x)s", "m%f")
+        assert (back.out_dir, back.data_root) == ("runs/100%", "d%(x)s")
+
+    def test_config_built_with_lists_round_trips(self, tmp_path):
+        # a list kept as a list would be saved as its repr, "[4, 11]", which no load reads
+        cfg = non_default_config("split")
+        spec = cfg.scenarios[0]
+        listed = replace(cfg, seeds=list(cfg.seeds), calib_fractions=list(cfg.calib_fractions),
+                         scenarios=[replace(spec, classes_a=list(spec.classes_a),
+                                            classes_b=list(spec.classes_b))])
+        assert listed == cfg
+        save_config(listed, tmp_path / "exp.ini")
+        assert load_config(tmp_path / "exp.ini") == cfg
 
     @pytest.mark.parametrize("section,key", [("stats", "baseline_perm"),
                                              ("scenario sp", "angle")])
@@ -228,6 +238,12 @@ class TestConfigFile:
         cfg = tiny_config(str(tmp_path))
         with pytest.raises(ValueError, match=r"scenario ids must be distinct.*'mf', 'mf'"):
             replace(cfg, scenarios=cfg.scenarios * 2)
+
+    @pytest.mark.parametrize("bad", ["../presets/p", "a,b", "m%f", ".p"])
+    def test_transfer_profile_that_is_not_a_plain_name_refused(self, tmp_path, bad):
+        # the id becomes a file name under profiles_dir
+        with pytest.raises(ValueError, match=re.escape(f"[calib] profile {bad!r} must match")):
+            replace(tiny_config(str(tmp_path)), transfer_profile=bad)
 
 
 class TestDatasetResolution:
@@ -380,6 +396,16 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match=rf"torn final record line \({n_torn} bytes\)"):
             run_experiment(cfg)
         assert snapshot() == before
+
+    def test_config_built_with_lists_resumes(self, data_root):
+        # a list kept as a list would be saved as "seeds = [0]", refusing every resume and report
+        cfg = replace(tiny_config(str(data_root), out_name="exp_lists", seeds=[0]),
+                      calib_fractions=[0.4])
+        out = run_experiment(cfg)
+        assert load_config(os.path.join(out, "experiment.ini")) == cfg
+        records = open(os.path.join(out, "records.jsonl"), "rb").read()
+        run_experiment(cfg)
+        assert open(os.path.join(out, "records.jsonl"), "rb").read() == records
 
     def test_resume_refuses_a_changed_config(self, data_root, tmp_path, capsys):
         cfg = tiny_config(str(data_root), out_name="exp_refuse", seeds=(0,))
@@ -820,21 +846,45 @@ class TestCli:
 
     def test_correlate_insufficient_sample_exits_two(self, tmp_path, data_root, capsys):
         from adslab.calib import CalibrationParams, save_profile
-        # two archs cannot be calibrated on, so a preset scores them
+        # three archs are too few to calibrate on, so a preset scores them
         cfg = replace(tiny_config(str(data_root), out_name="exp_small", seeds=(0,)),
-                      pool=PoolConfig(depths=(3,), width_candidates=(32, 64),
-                                      per_category_counts={"uniform": 2}, seed=1),
+                      pool=PoolConfig(depths=(3,), width_candidates=(32, 64, 96),
+                                      per_category_counts={"uniform": 3}, seed=1),
                       out_dir=str(tmp_path / "small_exp"),
                       profiles_dir=str(tmp_path / "presets"), transfer_profile="preset")
         os.makedirs(cfg.profiles_dir)
         save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
                      cfg.profile_path("preset"))
-        # the run itself reports insufficiency at the report stage
-        with pytest.raises(ValueError, match="insufficient sample"):
-            run_experiment(cfg)
-        rc = cli_main(["report", "--exp", cfg.out_dir])
-        assert rc == 2
+        # a pool too small to report on is refused before the snapshot, so the
+        # corrected config then runs in the same directory
+        two = replace(cfg, pool=replace(cfg.pool, per_category_counts={"uniform": 2}))
+        with pytest.raises(ValueError, match="the pool has 2 architectures"):
+            run_experiment(two)
+        assert not os.path.exists(os.path.join(cfg.out_dir, "experiment.ini"))
+        run_experiment(cfg)
+        # exclusions that leave 2 architectures make the report itself refuse
+        path = os.path.join(cfg.out_dir, "records.jsonl")
+        records = read_records(path)
+        os.remove(path)
+        clrun.append_records(path, [replace(r, valid=False) if r.arch_id == records[0].arch_id
+                                    else r for r in records])
+        capsys.readouterr()
+        assert cli_main(["report", "--exp", cfg.out_dir]) == 2
         assert "insufficient sample: scenario mf has 2 architectures" in capsys.readouterr().err
+
+    def test_moved_directory_reports_the_same_bytes(self, tmp_path, data_root, monkeypatch):
+        # the snapshot names the directory the run wrote; a report reads the one it is given
+        cfg = replace(tiny_config(str(data_root), seeds=(0,)), out_dir=str(tmp_path / "exp"),
+                      calib_fractions=(0.4, 1.0))
+        run_experiment(cfg)
+        made = reports(cfg.out_dir)
+        assert "transfer.csv" in made
+        os.makedirs(tmp_path / "elsewhere")
+        os.rename(cfg.out_dir, tmp_path / "elsewhere" / "moved")
+        shutil.rmtree(tmp_path / "elsewhere" / "moved" / "reports")
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert cli_main(["report", "--exp", "moved"]) == 0
+        assert reports("moved") == made
 
     def test_report_command(self, data_root, capsys):
         out = os.path.join(str(data_root), "exp_main")
@@ -884,15 +934,13 @@ class TestAggregation:
     def test_shift_is_mean_of_exactly_three_seed_records(self, data_root):
         from adslab.harness import aggregate_scenario
         from adslab.archpool import load_manifest
-        from adslab.calib import load_profile
         import numpy as np
         out = os.path.join(str(data_root), "exp_main")
         if not os.path.exists(os.path.join(out, "records.jsonl")):
             run_experiment(tiny_config(str(data_root), out_name="exp_main"))
         records = read_records(os.path.join(out, "records.jsonl"))
         pool = dict(load_manifest(os.path.join(out, "pool.manifest")))
-        params = load_profile(os.path.join(out, "params", "mf_f040.profile"))
-        agg = aggregate_scenario(records, "mf", pool, params, 0.0)
+        agg = aggregate_scenario(records, "mf", pool, 0.0)
         by_arch = {}
         for r in records:
             by_arch.setdefault(r.arch_id, []).append(r.observed_shift)

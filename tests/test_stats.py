@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adslab.harness import ScenarioAggregate, selector_baseline
+from adslab.harness import selector_baseline
 from adslab.stats import (
     average_precision,
     bootstrap_ci,
@@ -77,12 +77,12 @@ def bootstrap_ci_reference(x, y, n_boot, seed):
     return float(lo), float(hi)
 
 
-def selector_baseline_reference(agg, n_perms, seed):
+def selector_baseline_reference(ads, ece_drift, n_perms, seed):
     """Mean AUC-PR of the full selector analysis on each shuffled score vector."""
     rng = np.random.default_rng(seed)
     vals = []
     for _ in range(n_perms):
-        rep = pr_analysis(rng.permutation(agg.ads), agg.ece_drift)
+        rep = pr_analysis(rng.permutation(ads), ece_drift)
         if math.isfinite(rep.auc_pr):
             vals.append(rep.auc_pr)
     return float(np.mean(vals)) if vals else math.nan
@@ -251,13 +251,11 @@ class TestSelectorBaseline:
     @pytest.mark.parametrize("ties", [True, False])
     def test_equals_mean_auc_of_each_shuffle(self, n, ties):
         ads, drift = oracle_inputs(n, ties, seed=n + 2)
-        agg = ScenarioAggregate("s", [f"a{i}" for i in range(n)], ads, np.zeros(n), drift, n, 0)
-        assert selector_baseline(agg, 200, seed=3) == selector_baseline_reference(agg, 200, seed=3)
+        assert (selector_baseline(ads, drift, 200, seed=3)
+                == selector_baseline_reference(ads, drift, 200, seed=3))
 
     def test_no_positives_nan(self):
-        agg = ScenarioAggregate("s", ["a", "b", "c", "d"], np.arange(4.0), np.zeros(4),
-                                np.ones(4), 4, 0)
-        assert math.isnan(selector_baseline(agg, 200, seed=0))
+        assert math.isnan(selector_baseline(np.arange(4.0), np.ones(4), 200, seed=0))
 
 
 class TestDirectionConsistency:

@@ -4,10 +4,11 @@
 its callers look it up by. A rename there would not fail the benchmark;
 it would silently drop the function's spans from ``--trace 1``. So every
 ``TRACE_POINTS`` entry is resolved here exactly as ``Tracer.install``
-resolves it, and one small run is traced to count the spans that the
-per-step metrics are made from.
+resolves it, and one small run and one report are traced to count the
+spans that the per-step and report metrics are made from.
 """
 
+import collections
 import importlib
 import json
 import os
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 
 from adslab import harness
-from adslab.archpool import PoolConfig
+from adslab.archpool import PoolConfig, generate_pool, pool_entries, save_manifest
 from adslab.calib import CalibrationParams, save_profile
-from adslab.clrun import TrainConfig
+from adslab.clrun import RunRecord, TrainConfig, append_records
 from adslab.datasets import Dataset, Scenario, ScenarioSpec
 from adslab.nncore import ArchitectureSpec
 from adslab.synthdata import generate_dataset
@@ -120,4 +121,47 @@ def test_shared_task1_trains_once_per_distinct_key(tmp_path):
     assert sum(1 for s in tracer.spans if s.name == "clrun.run_scenario") == 3 * 2 * 2
     # one append per job: a job's records reach records.jsonl together
     assert sum(1 for s in tracer.spans if s.name == "clrun.append_records") == 3 * 2
+    assert SPANS["nesting_problems"](tracer.spans) == []
+
+
+def test_report_trace_points_fire(tmp_path):
+    # a completed directory written through the public writers, no training:
+    # two scenarios, 6 archs x 2 seeds each, profiles on a 2-fraction grid
+    rng = np.random.default_rng(0)
+    specs = [ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist"),
+             ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0)]
+    cfg = harness.ExperimentConfig(
+        scenarios=specs, seeds=(0, 1), out_dir=str(tmp_path / "exp"), calib_fractions=(0.3, 1.0),
+        pool=PoolConfig(depths=(3,), width_candidates=(16, 24, 32),
+                        per_category_counts={"uniform": 3, "random": 3}, seed=1))
+    os.makedirs(cfg.resolved_profiles_dir())
+    harness.save_config(cfg, os.path.join(cfg.out_dir, "experiment.ini"))
+    pool = generate_pool(cfg.pool)
+    save_manifest(pool, os.path.join(cfg.out_dir, "pool.manifest"), seed=cfg.pool.seed)
+    for spec in specs:
+        for fraction in cfg.calib_fractions:
+            pid = harness.profile_id(spec.scenario_id, fraction)
+            save_profile(CalibrationParams(0.2 * fraction, -0.4, 2.0, 0.5, 0.9, 0.9, 50,
+                                           params_id=pid), cfg.profile_path(pid))
+    append_records(os.path.join(cfg.out_dir, "records.jsonl"), [
+        RunRecord(arch_id, sid, seed, observed_shift=float(rng.uniform(0.5, 2.0)),
+                  layer_traces=[], task1_eval_acc=0.9, task2_eval_acc=0.9, ece_before=0.02,
+                  ece_after=float(rng.uniform(0.02, 0.06)), wall_time=1.0)
+        for arch_id, sid, seed in harness.experiment_run_keys(cfg, pool_entries(pool))])
+
+    tracer = SPANS["Tracer"]()
+    tracer.install()
+    try:
+        tracer.call("harness.emit_report", harness.emit_report, cfg.out_dir)
+    finally:
+        tracer.uninstall()
+    count = collections.Counter(s.name for s in tracer.spans)
+    n_scenarios, n_arch, n_profiles = len(specs), len(pool), 1 + len(cfg.calib_fractions)
+    # each scenario is aggregated once; its scoring profile and each grid profile score it
+    assert count["harness.aggregate_scenario"] == n_scenarios
+    assert count["calib.load_profile"] == n_scenarios * n_profiles
+    assert count["ads.compute_ads"] == n_scenarios * n_profiles * n_arch
+    # a selector table per scenario, then correlation, runs summary, selector summary, transfer
+    assert count["harness.write_csv"] == n_scenarios + 4
+    assert count["harness.svg_scatter"] == count["harness.svg_curve"] == n_scenarios
     assert SPANS["nesting_problems"](tracer.spans) == []
