@@ -55,6 +55,8 @@ class PoolConfig:
             raise ValueError("width candidate pool must be non-empty")
         if any(c < 0 for c in self.per_category_counts.values()):
             raise ValueError("per-category counts must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"pool seed must be >= 0, got {self.seed}")
         unknown = [f"count_{tag}" for tag in self.per_category_counts if tag not in TOPOLOGY_TAGS]
         if unknown:
             raise ValueError(f"unknown category in {', '.join(unknown)}; the categories are "

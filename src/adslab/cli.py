@@ -142,6 +142,8 @@ def cmd_ads(args) -> int:
         return 0
     if args.pool:
         entries = load_manifest(args.pool)
+        if not entries:
+            raise ValueError(f"{args.pool} lists no architecture to score")
         rows = []
         for arch_id, spec in entries:
             score = compute_ads(spec, params)

@@ -1,25 +1,25 @@
 """Experiment orchestration: pools of (architecture x scenario x seed) runs,
 calibration, scoring, correlation, and report emission.
 
-An experiment directory is fully determined by its config: the pool
-manifest, fitted parameter profiles, the run-record stream, and every
-CSV/SVG report are pure functions of (config, seeds, dataset bytes).
-Completed runs are keyed by (arch_id, scenario_id, seed) and skipped on
-resume. ``plan_jobs`` makes calibration and pool runs into jobs alike: the
-runs of one arch and seed whose scenarios share a task-1 digest, in any
-order, are one job, which trains task 1 once and returns its records. A
-job's records are appended together, jobs in the order of their first key
-(arch-major), once every job before it is complete, whatever the worker
-count. Every aggregate is computed from the key-sorted stream, so the
-record order never changes a reported number. Calibration runs evaluate
-at most 512 rows per evaluation set, as a fit reads only their traces. Jobs run one at a time in
-the calling thread: by default each drives a BLAS that runs one thread per
-CPU, so jobs on worker threads would only oversubscribe the CPUs. The BLAS
-thread count moves record bits; the worker count moves none.
+An experiment directory is fully determined by its config: the pool manifest,
+fitted parameter profiles, the run-record stream, and every CSV/SVG report are
+pure functions of (config, seeds, dataset bytes). Completed runs are keyed by
+(arch_id, scenario_id, seed) and skipped on resume. ``plan_jobs`` makes
+calibration and pool runs into jobs alike: the runs of one arch and seed whose
+scenarios share a task-1 digest, in any order, are one job, which trains task
+1 once and returns its records. A job's records are appended together, jobs in
+the order of their first key (arch-major), once every job before it is
+complete, whatever the worker count. Every aggregate is computed from the
+key-sorted stream, so the record order never changes a reported number.
+Calibration runs evaluate at most 512 rows per evaluation set, as a fit reads
+only their traces. Jobs run one at a time in the calling thread: by default
+each drives a BLAS that runs one thread per CPU, so worker threads would only
+oversubscribe the CPUs. The BLAS thread count moves record bits; the worker
+count moves none. Every profile an experiment scores with, a preset included,
+lives in its ``params`` directory, so a report reads nothing outside it.
 ``ExperimentConfig`` is frozen and checked when built (change it with
-``dataclasses.replace``), and state files are replaced atomically. A
-resume under a changed config is refused, and one run at a time may use
-a directory.
+``dataclasses.replace``), and state files are replaced atomically. A resume
+under a changed config is refused, and one run at a time may use a directory.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .calib import CalibrationParams, calibrate_params, load_profile, save_profi
 from .clrun import (TrainConfig, append_records, format_value, parse_section, parse_value,
                     read_ini, read_records, run_scenario, task1_digest, train_task1,
                     write_atomic, write_ini)
-from .datasets import (Scenario, ScenarioSpec, check_id, dataset_paths, load_cifar10,
+from .datasets import (Scenario, ScenarioSpec, dataset_paths, load_cifar10,
                        load_idx, make_scenario, sample_subset, subset_size)
 from .nncore import ArchitectureSpec, DivergenceError
 
@@ -70,8 +70,7 @@ class ExperimentConfig:
     min_task1_acc: float = 0.8
     n_calib_archs: int = 10
     calib_fractions: tuple[float, ...] = ()  # defaults to each scenario's calib_fraction
-    transfer_profile: str = ""       # load this profile id instead of calibrating
-    profiles_dir: str = ""           # defaults to <out_dir>/params
+    transfer_profile: str = ""       # path of a preset profile that scores instead of a fit
     n_perm: int = stats.MIN_PERM
     n_boot: int = stats.MIN_BOOT
     baseline_perms: int = 200
@@ -86,15 +85,16 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("at least one seed is required")
         train_config(self, steps=1, seed=0)  # TrainConfig's own checks of the shared fields
-        for name, value, least in (("seeds", min(self.seeds), 0), ("pool seed", self.pool.seed, 0),
+        for name, value, least in (("seeds", min(self.seeds), 0),
                                    ("workers", self.workers, 1), ("eval_cap", self.eval_cap, 1),
                                    ("calib n_archs", self.n_calib_archs, 1),
                                    ("n_perm", self.n_perm, stats.MIN_PERM),
                                    ("n_boot", self.n_boot, stats.MIN_BOOT)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if self.transfer_profile:
-            check_id("[calib] profile", self.transfer_profile)
+        if self.transfer_profile and len(self.calib_fractions) > 1:
+            raise ValueError("[calib] profile scores every scenario; it cannot stand beside a "
+                             f"[calib] fractions grid, got {self.calib_fractions}")
         if not 0.0 <= self.min_task1_acc <= 1.0:
             raise ValueError(f"min_task1_acc must be in [0, 1], got {self.min_task1_acc}")
         if not all(0.0 < f <= 1.0 for f in self.calib_fractions):
@@ -122,7 +122,7 @@ class ExperimentConfig:
         return int(raw)
 
     def resolved_profiles_dir(self) -> str:
-        return self.profiles_dir or os.path.join(self.out_dir, "params")
+        return os.path.join(self.out_dir, "params")
 
     def profile_path(self, pid: str) -> str:
         return os.path.join(self.resolved_profiles_dir(), f"{pid}.profile")
@@ -133,9 +133,9 @@ class ExperimentConfig:
 
     def scoring_profile_path(self, spec: ScenarioSpec) -> str:
         """Path of the profile that scores a scenario's architectures: the
-        transfer preset when one is set, else the fit on the first fraction."""
-        return self.profile_path(self.transfer_profile
-                                 or profile_id(spec.scenario_id, self.fractions_for(spec)[0]))
+        experiment's copy of the preset when one is set, else the fit on the first fraction."""
+        return self.profile_path("preset" if self.transfer_profile
+                                 else profile_id(spec.scenario_id, self.fractions_for(spec)[0]))
 
 
 def profile_id(scenario_id: str, fraction: float) -> str:
@@ -168,7 +168,6 @@ INI_KEYS = {
     "n_calib_archs": ("calib", "n_archs"),
     "calib_fractions": ("calib", "fractions"),
     "transfer_profile": ("calib", "profile"),
-    "profiles_dir": ("calib", "profiles_dir"),
     "n_perm": ("stats", "n_perm"),
     "n_boot": ("stats", "n_boot"),
     "baseline_perms": ("stats", "baseline_perms"),
@@ -395,8 +394,8 @@ def _refuse_changed_config(cfg: ExperimentConfig, ini: str) -> None:
                          f"{ini} or use a new directory")
 
 
-def _adopt_manifest(supplied: str, target: str) -> None:
-    """Copy a supplied pool manifest to ``target``, or refuse one that differs from it."""
+def _adopt(supplied: str, target: str) -> None:
+    """Copy a supplied file to ``target``, or refuse one that differs from it."""
     with open(supplied, "rb") as fh:
         data = fh.read()
     if not os.path.exists(target):
@@ -411,8 +410,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
     """Execute (or resume) the full experiment; returns the experiment directory.
 
     ``pool_manifest`` names a manifest to adopt as the experiment's pool. It
-    is copied in under the directory lock, after the config check, so a
-    refused run leaves no manifest behind.
+    and the config's preset are copied in under the directory lock, after
+    every refusal, so a refused run leaves neither behind; a resume refuses
+    a source that no longer matches its copy.
     """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -454,20 +454,21 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
                     subset_size(len(getattr(sc, task)), fraction)
                 except ValueError as exc:
                     raise ValueError(f"calibration subset {pid}, {task}: {exc}") from None
-        if pool_manifest:
-            _adopt_manifest(pool_manifest, manifest_path)
-        save_config(cfg, ini)
+        if cfg.transfer_profile:
+            load_profile(cfg.transfer_profile)  # a bad copy would block the corrected rerun
         os.makedirs(cfg.resolved_profiles_dir(), exist_ok=True)
+        for supplied, target in ((pool_manifest, manifest_path),
+                                 (cfg.transfer_profile, cfg.profile_path("preset"))):
+            if supplied:
+                _adopt(supplied, target)
+        save_config(cfg, ini)
         if pool is not None:
             save_manifest(pool, manifest_path, seed=cfg.pool.seed)
 
-        # calibration of every missing profile; a missing scoring profile fails
-        # here, before the pool phase
+        # calibration of every missing profile
         missing = {pid: v for pid, v in wanted.items() if not os.path.exists(cfg.profile_path(pid))}
         for pid, params in run_calibration(cfg, missing, entries).items():
             save_profile(params, cfg.profile_path(pid))
-        for spec in cfg.scenarios:
-            load_profile(cfg.scoring_profile_path(spec))
 
         # full pool runs, resumable by key, one job per shared task 1
         _drop_torn_tail(records_path)
@@ -543,8 +544,7 @@ def write_csv(path, header: list, rows: list) -> None:
 
 def emit_report(exp_dir: str) -> list:
     """Rebuild every CSV/SVG report from the experiment directory ``exp_dir``,
-    wherever it now lives: profiles are read from its ``params`` unless the
-    config names a ``profiles_dir``."""
+    wherever it now lives; nothing outside it is read."""
     cfg = replace(load_config(os.path.join(exp_dir, "experiment.ini")), out_dir=exp_dir)
     records_path = os.path.join(exp_dir, "records.jsonl")
     manifest_path = os.path.join(exp_dir, "pool.manifest")
@@ -578,7 +578,11 @@ def emit_report(exp_dir: str) -> list:
             raise ValueError(
                 f"insufficient sample: scenario {sid} has {n_arch} "
                 "architectures after exclusions (need >= 3)")
-        ads = ads_scores(agg, arch_by_id, load_profile(cfg.scoring_profile_path(spec)))
+        # the scoring profile, then each grid fraction's, each distinct file scored once
+        paths = [cfg.scoring_profile_path(spec)] + [cfg.profile_path(profile_id(sid, f))
+                                                    for f in grid]
+        scores = {p: ads_scores(agg, arch_by_id, load_profile(p)) for p in dict.fromkeys(paths)}
+        ads = scores[paths[0]]
         rep = stats.correlation_report(ads, agg.shift, n_perm=cfg.n_perm,
                                        n_boot=cfg.n_boot, seed=cfg.seeds[0])
         corr_rows.append([sid, n_arch, rep.spearman, rep.kendall,
@@ -606,13 +610,9 @@ def emit_report(exp_dir: str) -> list:
                     "observed logit shift", f"{sid}: proxy vs observed shift", scatter)
         written.append(scatter)
 
-        # each grid fraction's profile scores the same aggregate
-        for fraction in grid:
-            path = cfg.profile_path(profile_id(sid, fraction))
-            if os.path.exists(path):
-                fraction_ads = ads_scores(agg, arch_by_id, load_profile(path))
-                transfer_rows.append([sid, fraction, stats.spearman(fraction_ads, agg.shift),
-                                      stats.direction_consistency(fraction_ads, agg.shift)])
+        for fraction, path in zip(grid, paths[1:]):
+            transfer_rows.append([sid, fraction, stats.spearman(scores[path], agg.shift),
+                                  stats.direction_consistency(scores[path], agg.shift)])
 
     tables = [("correlation.csv", ["scenario", "n_arch", "spearman", "kendall", "dc",
                                    "p_value", "ci_low", "ci_high"], corr_rows),

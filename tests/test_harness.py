@@ -18,7 +18,7 @@ import pytest
 from adslab import clrun, harness
 from adslab.archpool import (PoolConfig, _category_counts, generate_pool, load_manifest,
                              pool_entries)
-from adslab.calib import save_profile
+from adslab.calib import CalibrationParams, save_profile
 from adslab.cli import main as cli_main
 from adslab.clrun import derive_seed, read_records, task1_digest
 from adslab.datasets import ScenarioSpec, dataset_paths, make_scenario
@@ -64,6 +64,18 @@ def shared_config(root, out_name, workers=1):
     rot = ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0,
                        eval_fraction=0.5, calib_fraction=0.4)
     return replace(cfg, scenarios=cfg.scenarios + (rot,))
+
+
+def preset_config(data_root, out_dir, preset):
+    """A one-seed, three-arch experiment that a preset scores (too few archs to calibrate)."""
+    return replace(tiny_config(str(data_root), seeds=(0,)), out_dir=str(out_dir),
+                   pool=PoolConfig(depths=(3,), width_candidates=(32, 64, 96),
+                                   per_category_counts={"uniform": 3}, seed=1),
+                   transfer_profile=str(preset))
+
+
+def write_preset(path, alpha=0.2):
+    save_profile(CalibrationParams(alpha, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"), path)
 
 
 def count_task1_trainings(monkeypatch) -> collections.Counter:
@@ -116,8 +128,8 @@ def non_default_config(kind):
         scenarios=[spec], pool=pool, seeds=(4, 11), workers=3, out_dir="runs/x",
         data_root="d", epochs_per_task=3, steps_per_task=17, batch_size=32, lr=0.0125,
         momentum=0.5, weight_decay=1e-5, trace_every=3, path_segments=7, eval_cap=333,
-        min_task1_acc=0.55, n_calib_archs=4, calib_fractions=(0.25, 0.75),
-        transfer_profile="large_shift", profiles_dir="presets", n_perm=1999, n_boot=2000,
+        min_task1_acc=0.55, n_calib_archs=4, calib_fractions=(0.25,),
+        transfer_profile="presets/large_shift.profile", n_perm=1999, n_boot=2000,
         baseline_perms=50,
     )
 
@@ -239,11 +251,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"scenario ids must be distinct.*'mf', 'mf'"):
             replace(cfg, scenarios=cfg.scenarios * 2)
 
-    @pytest.mark.parametrize("bad", ["../presets/p", "a,b", "m%f", ".p"])
-    def test_transfer_profile_that_is_not_a_plain_name_refused(self, tmp_path, bad):
-        # the id becomes a file name under profiles_dir
-        with pytest.raises(ValueError, match=re.escape(f"[calib] profile {bad!r} must match")):
-            replace(tiny_config(str(tmp_path)), transfer_profile=bad)
+    def test_preset_beside_a_fractions_grid_refused(self, tmp_path):
+        # a preset skips calibration, so the grid's transfer table would be empty
+        cfg = replace(tiny_config(str(tmp_path)), transfer_profile="p.profile")
+        assert replace(cfg, calib_fractions=(0.4,)).calib_fractions == (0.4,)
+        with pytest.raises(ValueError, match=r"\[calib\] profile .* \[calib\] fractions grid"):
+            replace(cfg, calib_fractions=(0.4, 1.0))
 
 
 class TestDatasetResolution:
@@ -727,7 +740,8 @@ class TestCli:
                                   ("train", "weight_decay", "inf"),
                                   ("experiment", "min_task1_acc", "2.0"),
                                   ("experiment", "min_task1_acc", "nan"),
-                                  ("experiment", "seeds", "0,,1"), ("pool", "widths", "32,,")]:
+                                  ("experiment", "seeds", "0,,1"), ("pool", "widths", "32,,"),
+                                  ("pool", "seed", "-1")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad
@@ -799,6 +813,22 @@ class TestCli:
             assert cells[:2] == [arch_id, repr(compute_ads(spec, params).value)]
             assert len(cells) == 2 + spec.depth
 
+    def test_ads_pool_without_architectures_refused(self, tmp_path, capsys):
+        save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50), tmp_path / "p.profile")
+        manifest = tmp_path / "empty.manifest"
+        manifest.write_text("# arch pool manifest v1\n# seed=0\n")
+        assert cli_main(["ads", "--params", str(tmp_path / "p.profile"), "--pool", str(manifest),
+                         "--out", str(tmp_path / "scores.csv")]) == 2
+        assert f"{manifest} lists no architecture" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "scores.csv")
+
+    def test_gen_pool_negative_seed_refused(self, tmp_path, capsys):
+        save_config(tiny_config(str(tmp_path)), tmp_path / "c.ini")
+        assert cli_main(["gen-pool", "--config", str(tmp_path / "c.ini"),
+                         "--out", str(tmp_path / "m"), "--seed", "-1"]) == 2
+        assert "pool seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m")
+
     def test_pool_that_cannot_be_generated_leaves_no_snapshot(self, tmp_path, data_root,
                                                                capsys):
         cfg = tiny_config(str(data_root), out_name="exp_bad_pool", seeds=(0,))
@@ -845,16 +875,9 @@ class TestCli:
         assert "[fit] n_layer_records: invalid literal" in capsys.readouterr().err
 
     def test_correlate_insufficient_sample_exits_two(self, tmp_path, data_root, capsys):
-        from adslab.calib import CalibrationParams, save_profile
         # three archs are too few to calibrate on, so a preset scores them
-        cfg = replace(tiny_config(str(data_root), out_name="exp_small", seeds=(0,)),
-                      pool=PoolConfig(depths=(3,), width_candidates=(32, 64, 96),
-                                      per_category_counts={"uniform": 3}, seed=1),
-                      out_dir=str(tmp_path / "small_exp"),
-                      profiles_dir=str(tmp_path / "presets"), transfer_profile="preset")
-        os.makedirs(cfg.profiles_dir)
-        save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
-                     cfg.profile_path("preset"))
+        cfg = preset_config(data_root, tmp_path / "small_exp", tmp_path / "preset.profile")
+        write_preset(cfg.transfer_profile)
         # a pool too small to report on is refused before the snapshot, so the
         # corrected config then runs in the same directory
         two = replace(cfg, pool=replace(cfg.pool, per_category_counts={"uniform": 2}))
@@ -928,6 +951,57 @@ class TestCli:
         assert cli_main(run + [str(manifest)]) == 0
         assert open(adopted).read() == manifest.read_text()
         assert open(os.path.join(out_dir, "records.jsonl"), "rb").read() == records
+
+
+class TestPreset:
+    """A preset is copied into the experiment, which then never reads its source."""
+
+    def test_missing_preset_refused_before_the_snapshot(self, tmp_path, data_root):
+        out = tmp_path / "exp"
+        with pytest.raises(FileNotFoundError, match="presetx.profile"):
+            run_experiment(preset_config(data_root, out, tmp_path / "presetx.profile"))
+        assert not os.path.exists(out / "experiment.ini")
+        assert not os.path.exists(out / "params" / "preset.profile")
+        write_preset(tmp_path / "preset.profile")
+        run_experiment(preset_config(data_root, out, tmp_path / "preset.profile"))
+        assert (out / "params" / "preset.profile").read_bytes() == \
+            (tmp_path / "preset.profile").read_bytes()
+
+    def test_report_reads_only_the_copy(self, tmp_path, data_root, monkeypatch, capsys):
+        preset = tmp_path / "preset.profile"
+        write_preset(preset)
+        cfg = preset_config(data_root, tmp_path / "exp", preset)
+        run_experiment(cfg)
+        made = reports(cfg.out_dir)
+        records = open(os.path.join(cfg.out_dir, "records.jsonl"), "rb").read()
+
+        # a resume under an edited source is refused, naming the experiment's copy
+        write_preset(preset, alpha=0.9)
+        with pytest.raises(ValueError, match=re.escape(os.path.join("params", "preset.profile"))):
+            run_experiment(cfg)
+        assert open(os.path.join(cfg.out_dir, "records.jsonl"), "rb").read() == records
+
+        # without its source, and moved, the directory reports the same bytes
+        os.remove(preset)
+        os.rename(cfg.out_dir, tmp_path / "moved")
+        shutil.rmtree(tmp_path / "moved" / "reports")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["report", "--exp", "moved"]) == 0
+        assert reports("moved") == made
+
+    def test_calibrated_profile_as_a_preset(self, tmp_path, data_root, capsys):
+        cfg = tiny_config(str(data_root), seeds=(0,))
+        save_config(cfg, tmp_path / "c.ini")
+        profile = tmp_path / "p.profile"
+        assert cli_main(["calibrate", "--config", str(tmp_path / "c.ini"),
+                         "--out", str(profile)]) == 0
+        save_config(replace(cfg, transfer_profile=str(profile)), tmp_path / "preset.ini")
+        out = tmp_path / "exp"
+        assert cli_main(["run", "--config", str(tmp_path / "preset.ini"), "--out", str(out),
+                         "--quiet"]) == 0
+        assert os.listdir(out / "params") == ["preset.profile"]
+        assert (out / "params" / "preset.profile").read_bytes() == profile.read_bytes()
+        assert "correlation.csv" in reports(str(out))
 
 
 class TestAggregation:

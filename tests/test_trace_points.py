@@ -105,10 +105,9 @@ def test_shared_task1_trains_once_per_distinct_key(tmp_path):
         data_root=str(tmp_path / "data"), batch_size=64, eval_cap=100, min_task1_acc=0.0,
         pool=PoolConfig(depths=(3,), width_candidates=(16, 24, 32),
                         per_category_counts={"uniform": 3}, seed=1),
-        profiles_dir=str(tmp_path / "presets"), transfer_profile="preset")
-    os.makedirs(cfg.profiles_dir)
+        transfer_profile=str(tmp_path / "preset.profile"))
     save_profile(CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.9, 50, params_id="preset"),
-                 cfg.profile_path("preset"))
+                 cfg.transfer_profile)
     tracer = SPANS["Tracer"]()
     tracer.install()
     try:
@@ -156,8 +155,9 @@ def test_report_trace_points_fire(tmp_path):
     finally:
         tracer.uninstall()
     count = collections.Counter(s.name for s in tracer.spans)
-    n_scenarios, n_arch, n_profiles = len(specs), len(pool), 1 + len(cfg.calib_fractions)
-    # each scenario is aggregated once; its scoring profile and each grid profile score it
+    n_scenarios, n_arch, n_profiles = len(specs), len(pool), len(cfg.calib_fractions)
+    # each scenario is aggregated once; each distinct profile file is loaded and scores it
+    # once, and the scoring profile is the first grid fraction's
     assert count["harness.aggregate_scenario"] == n_scenarios
     assert count["calib.load_profile"] == n_scenarios * n_profiles
     assert count["ads.compute_ads"] == n_scenarios * n_profiles * n_arch
