@@ -12,8 +12,9 @@ widths (layer index >= 2), mirroring how the scaling law is stated over
 the hidden stack. Profiles are INI files with the same reader and writer
 as ``experiment.ini`` (``clrun.read_ini``, ``write_ini``), so a missing
 or unknown key or section is refused; an experiment's ``[calib] profile``
-key scores with a stored profile by id, which is how the "small shift" /
-"large shift" transfer presets work.
+key is the path of a preset profile, copied into the experiment as
+``params/preset.profile`` and scoring every scenario in place of a fit,
+which is how the "small shift" / "large shift" transfer presets work.
 ``CalibrationParams`` is frozen and refuses a non-finite parameter.
 """
 

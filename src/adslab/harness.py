@@ -89,7 +89,8 @@ class ExperimentConfig:
                                    ("workers", self.workers, 1), ("eval_cap", self.eval_cap, 1),
                                    ("calib n_archs", self.n_calib_archs, 1),
                                    ("n_perm", self.n_perm, stats.MIN_PERM),
-                                   ("n_boot", self.n_boot, stats.MIN_BOOT)):
+                                   ("n_boot", self.n_boot, stats.MIN_BOOT),
+                                   ("baseline_perms", self.baseline_perms, 1)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.transfer_profile and len(self.calib_fractions) > 1:
@@ -528,7 +529,7 @@ def ads_scores(agg: ScenarioAggregate, arch_by_id: dict, params: CalibrationPara
 def selector_baseline(ads: np.ndarray, ece_drift: np.ndarray, n_perms: int, seed: int) -> float:
     """Mean AUC-PR of score-shuffled selectors (the random baseline)."""
     positive = stats.low_drift(ece_drift)
-    if n_perms < 1 or not positive.any():
+    if not positive.any():
         return math.nan
     rng = np.random.default_rng(seed)
     return float(np.mean([stats.average_precision(rng.permutation(ads), positive)

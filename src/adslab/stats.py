@@ -3,7 +3,9 @@ and the precision/recall selector analysis.
 
 The permutation p-value is Spearman's, taken by permuting ranks computed
 once; the bootstrap interval is direction consistency's, taken from each
-resample's draw counts over one pair-sign matrix. A tie is an equal value.
+resample's draw counts over one pair-sign matrix. Both draw resamples one
+by one and score them a block at a time with exact sums, so the same bits
+come under any BLAS blocking or thread count. A tie is an equal value.
 
 All functions are pure and seed-deterministic. Undefined statistics
 (constant inputs, fully tied pairs) come back as NaN rather than raising,
@@ -22,6 +24,7 @@ ECE_BINS = 15
 CI_LEVEL = 0.95
 MIN_PERM = 999    # fewest permutations for a p-value
 MIN_BOOT = 1000   # fewest bootstrap resamples for an interval
+RESAMPLE_BLOCK = 64  # resamples scored per matrix product
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,10 @@ def perm_p_value(x, y, n_perm: int, seed: int) -> float:
 
     (1 + #{|r_perm| >= |r_obs|}) / (n_perm + 1), where each r_perm pairs the
     ranks of x with a permutation of the ranks of y: both are ranked once.
+    Permutations are scored RESAMPLE_BLOCK at a time. Average ranks sum to
+    n(n+1)/2, so centred ranks are multiples of 1/2 and their products of
+    1/4: for n <= 2**17 each sum is exact in any order, and r_perm is the
+    float ``_pearson`` returns for that permutation.
     """
     if n_perm < MIN_PERM:
         raise ValueError(f"n_perm must be >= {MIN_PERM}")
@@ -115,8 +122,15 @@ def perm_p_value(x, y, n_perm: int, seed: int) -> float:
     obs = abs(_pearson(rx, ry))
     if math.isnan(obs):
         return math.nan
+    xc = rx - rx.mean()
+    sxx = (xc**2).sum()
     rng = np.random.default_rng(seed)
-    count = sum(abs(_pearson(rx, rng.permutation(ry))) >= obs for _ in range(n_perm))
+    count = 0
+    for start in range(0, n_perm, RESAMPLE_BLOCK):
+        yc = np.stack([rng.permutation(ry) for _ in range(min(RESAMPLE_BLOCK, n_perm - start))])
+        yc -= yc.mean(axis=1, keepdims=True)
+        r = (yc @ xc) / np.sqrt(sxx * (yc**2).sum(axis=1))
+        count += int((np.abs(r) >= obs).sum())
     return (1 + count) / (n_perm + 1)
 
 
@@ -124,27 +138,28 @@ def bootstrap_ci(proxy, shift, n_boot: int, seed: int) -> tuple[float, float]:
     """Percentile bootstrap interval of direction consistency over paired resamples.
 
     The pairs are compared once. A resample that draws item i c_i times has
-    c @ agree @ c agreeing ordered pairs (and likewise disagreeing ones);
-    these are sums of integers below 2**53, so exact under any BLAS
-    blocking. Resamples whose pairs are all tied are skipped.
+    c @ agree @ c agreeing ordered pairs (and likewise disagreeing ones), a
+    sum of integers at most n**2 < 2**53, exact in any order; so resamples are
+    scored RESAMPLE_BLOCK at a time. Resamples whose pairs are all tied are skipped.
     """
     if n_boot < MIN_BOOT:
         raise ValueError(f"n_boot must be >= {MIN_BOOT}")
     signs = _pair_signs(*_paired(proxy, shift, "bootstrap_ci", 2))
     agree = (signs > 0).astype(np.float64)
     disagree = (signs < 0).astype(np.float64)
+    del signs  # so the loop holds two n x n matrices, not three
     n = len(agree)
     rng = np.random.default_rng(seed)
     vals = []
     skipped = 0
-    for _ in range(n_boot):
-        c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        pos = c @ agree @ c
-        neg = c @ disagree @ c
-        if pos + neg == 0:
-            skipped += 1
-        else:
-            vals.append(pos / (pos + neg))
+    for start in range(0, n_boot, RESAMPLE_BLOCK):
+        c = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                      for _ in range(min(RESAMPLE_BLOCK, n_boot - start))]).astype(np.float64)
+        pos = ((c @ agree) * c).sum(axis=1)
+        neg = ((c @ disagree) * c).sum(axis=1)
+        kept = pos + neg != 0
+        skipped += int((~kept).sum())
+        vals.extend(pos[kept] / (pos[kept] + neg[kept]))
     if skipped:
         warnings.warn(f"bootstrap: skipped {skipped} degenerate resamples")
     if not vals:

@@ -727,6 +727,7 @@ class TestCli:
         bad_path = tmp_path / "bad.ini"
         for section, key, bad in [("train", "lr", "0"), ("train", "batch_size", "0"),
                                   ("stats", "n_perm", "10"), ("stats", "n_boot", "999"),
+                                  ("stats", "baseline_perms", "0"),
                                   ("experiment", "eval_cap", "0"), ("calib", "fractions", "1.5"),
                                   ("experiment", "seeds", "-1"), ("experiment", "seeds", "0,0"),
                                   ("calib", "fractions", "0.4,0.401"),

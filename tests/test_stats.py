@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,11 @@ import pytest
 
 from adslab.harness import selector_baseline
 from adslab.stats import (
+    MIN_BOOT,
+    RESAMPLE_BLOCK,
     average_precision,
     bootstrap_ci,
+    correlation_report,
     direction_consistency,
     ece,
     ece_of_logits,
@@ -24,6 +28,9 @@ from adslab.stats import (
     softmax,
     spearman,
 )
+
+# the fewest resamples a test may ask for that fill every block, the last included
+FULL_BLOCKS = -(-MIN_BOOT // RESAMPLE_BLOCK) * RESAMPLE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,9 @@ class TestPermutationP:
     @pytest.mark.parametrize("ties", [True, False])
     def test_equals_spearman_of_each_permuted_copy(self, n, ties):
         x, y = oracle_inputs(n, ties, seed=n)
-        assert perm_p_value(x, y, n_perm=999, seed=5) == perm_p_reference(x, y, 999, seed=5)
+        for n_perm in (999, 1000, FULL_BLOCKS):  # the last block partial, then full
+            assert (perm_p_value(x, y, n_perm=n_perm, seed=5)
+                    == perm_p_reference(x, y, n_perm, seed=5)), n_perm
 
 
 class TestBootstrapCI:
@@ -239,11 +248,22 @@ class TestBootstrapCI:
     @pytest.mark.parametrize("ties", [True, False])
     def test_equals_dc_of_each_resample(self, n, ties):
         x, y = oracle_inputs(n, ties, seed=n + 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # tiny tied inputs skip some resamples
-            got = bootstrap_ci(x, y, n_boot=1000, seed=7)
-            want = bootstrap_ci_reference(x, y, 1000, seed=7)
-        assert got == want
+        for n_boot in (1000, 1001, FULL_BLOCKS):  # the last block partial, then full
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # tiny tied inputs skip some resamples
+                got = bootstrap_ci(x, y, n_boot=n_boot, seed=7)
+                want = bootstrap_ci_reference(x, y, n_boot, seed=7)
+            assert got == want, n_boot
+
+    def test_skip_count_equals_enumeration(self):
+        # a resample drawing only items 1 and 2 (equal x) or one item alone has every pair tied
+        x, y = np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])
+        rng = np.random.default_rng(7)
+        degenerate = sum(math.isnan(direction_consistency(x[idx], y[idx]))
+                         for idx in (rng.integers(0, 3, size=3) for _ in range(1000)))
+        assert 0 < degenerate < 1000
+        with pytest.warns(UserWarning, match=rf"skipped {degenerate} degenerate resamples"):
+            bootstrap_ci(x, y, n_boot=1000, seed=7)
 
 
 class TestSelectorBaseline:
@@ -294,14 +314,21 @@ class TestDirectionConsistency:
             assert bootstrap_ci(x, x, n_boot=1000, seed=0) == (1.0, 1.0)
 
 
+# a tied proxy and a noisy shift of it over report_n500's 500 architectures
+REPORT_INPUTS = (
+    "import numpy as np\n"
+    "rng = np.random.default_rng(11)\n"
+    "x = rng.integers(0, 40, size=500).astype(float)\n"
+    "y = x + rng.standard_normal(500) * 10\n"
+)
+
+
 def test_correlation_report_independent_of_blas_threads():
-    """Counts taken by matrix-vector products are exact, so the thread count moves no bit."""
-    script = (
-        "import numpy as np\n"
+    """The resamples are scored by matrix products whose sums are exact: integer draw
+    counts over 0/1 pair matrices, and products of ranks that are multiples of 1/2.
+    An exact sum is the same in any order, so the thread count moves no bit."""
+    script = REPORT_INPUTS + (
         "from adslab.stats import correlation_report\n"
-        "rng = np.random.default_rng(11)\n"
-        "x = rng.integers(0, 40, size=200).astype(float)\n"
-        "y = x + rng.standard_normal(200) * 10\n"
         "rep = correlation_report(x, y, n_perm=999, n_boot=1000, seed=0)\n"
         "print([repr(v) for v in vars(rep).values()])\n"
     )
@@ -314,6 +341,20 @@ def test_correlation_report_independent_of_blas_threads():
                               text=True, timeout=300, check=True)
         outs.append(done.stdout)
     assert outs[0] == outs[1]
+
+
+def test_correlation_report_scores_resamples_a_block_at_a_time():
+    """Peak traced memory of a 500-architecture report stays at its three n x n pair
+    matrices: holding every resample at once would add about 12 MB."""
+    inputs = {}
+    exec(REPORT_INPUTS, inputs)
+    tracemalloc.start()
+    try:
+        correlation_report(inputs["x"], inputs["y"], n_perm=999, n_boot=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.88e6, peak
 
 
 class TestEce:
