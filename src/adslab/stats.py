@@ -3,9 +3,10 @@ and the precision/recall selector analysis.
 
 The permutation p-value is Spearman's, taken by permuting ranks computed
 once; the bootstrap interval is direction consistency's, taken from each
-resample's draw counts over one pair-sign matrix. Both draw resamples one
-by one and score them a block at a time with exact sums, so the same bits
-come under any BLAS blocking or thread count. A tie is an equal value.
+resample's draw counts over the product of the two pair-order matrices.
+Both draw resamples one by one and score them a block at a time with exact
+sums, so the same bits come under any BLAS blocking or thread count. A tie
+is an equal value; Kendall and DC count a pair holding a NaN as tied.
 
 All functions are pure and seed-deterministic. Undefined statistics
 (constant inputs, fully tied pairs) come back as NaN rather than raising,
@@ -34,8 +35,8 @@ RESAMPLE_BLOCK = 64  # resamples scored per matrix product
 def _paired(x, y, name: str, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < min_n:
-        raise ValueError(f"{name} needs two equal-length vectors with n >= {min_n}")
+    if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < min_n:
+        raise ValueError(f"{name} needs two equal-length 1-D vectors with n >= {min_n}")
     return x, y
 
 
@@ -61,14 +62,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def _pair_signs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sign(x_i - x_j) * sign(y_i - y_j) for all i, j: each unordered pair appears twice."""
-    return np.sign(x[:, None] - x[None, :]) * np.sign(y[:, None] - y[None, :])
-
-
-def _tied_pairs(x: np.ndarray) -> int:
-    _, counts = np.unique(x, return_counts=True, equal_nan=False)
-    return int((counts * (counts - 1) // 2).sum())
+def _orders(v: np.ndarray) -> np.ndarray:
+    """sign(v_i - v_j) for all i, j as int8, 0 for a tie: each unordered pair appears twice."""
+    return np.greater.outer(v, v).view(np.int8) - np.less.outer(v, v).view(np.int8)
 
 
 def spearman(x, y) -> float:
@@ -78,16 +74,19 @@ def spearman(x, y) -> float:
 
 
 def kendall(x, y) -> float:
-    """Kendall tau-b (tie-corrected) by O(n^2) pair counting; NaN if constant."""
+    """Kendall tau-b: the cosine of the two pair-order matrices; NaN if constant.
+
+    Each unordered pair appears twice, so the numerator is 2(C - D) and each
+    count of non-zeros 2(n0 - t). For n <= 9000 every count product is below
+    2**53, the factors of 2 cancel exactly, and this is the float of
+    (C - D) / sqrt((n0 - t_x)(n0 - t_y)). A pair holding a NaN is tied.
+    """
     x, y = _paired(x, y, "kendall", 3)
-    signs = _pair_signs(x, y)
-    concordant = int((signs > 0).sum()) // 2
-    discordant = int((signs < 0).sum()) // 2
-    n0 = len(x) * (len(x) - 1) // 2
-    denom = math.sqrt((n0 - _tied_pairs(x)) * (n0 - _tied_pairs(y)))
+    sx, sy = _orders(x), _orders(y)
+    denom = math.sqrt(np.count_nonzero(sx) * np.count_nonzero(sy))
     if denom == 0.0:
         return math.nan
-    return (concordant - discordant) / denom
+    return int((sx * sy).sum()) / denom
 
 
 def direction_consistency(proxy, shift) -> float:
@@ -97,9 +96,10 @@ def direction_consistency(proxy, shift) -> float:
     pairs are excluded from both sides of the fraction, and all-tied input
     is undefined (NaN).
     """
-    signs = _pair_signs(*_paired(proxy, shift, "direction_consistency", 2))
-    pos = int((signs > 0).sum())
-    neg = int((signs < 0).sum())
+    x, y = _paired(proxy, shift, "direction_consistency", 2)
+    s = _orders(x) * _orders(y)
+    pos = int((s > 0).sum())
+    neg = int((s < 0).sum())
     if pos + neg == 0:
         return math.nan
     return pos / (pos + neg)
@@ -144,10 +144,11 @@ def bootstrap_ci(proxy, shift, n_boot: int, seed: int) -> tuple[float, float]:
     """
     if n_boot < MIN_BOOT:
         raise ValueError(f"n_boot must be >= {MIN_BOOT}")
-    signs = _pair_signs(*_paired(proxy, shift, "bootstrap_ci", 2))
-    agree = (signs > 0).astype(np.float64)
-    disagree = (signs < 0).astype(np.float64)
-    del signs  # so the loop holds two n x n matrices, not three
+    x, y = _paired(proxy, shift, "bootstrap_ci", 2)
+    s = _orders(x) * _orders(y)
+    agree = (s > 0).astype(np.float64)
+    disagree = (s < 0).astype(np.float64)
+    del s  # the loop holds only the two float64 matrices it multiplies
     n = len(agree)
     rng = np.random.default_rng(seed)
     vals = []
@@ -260,19 +261,12 @@ def pr_analysis(scores, ece_drift) -> SelectorReport:
     if n_pos == 0:
         return SelectorReport(thresholds, np.full(len(Q_GRID), math.nan),
                               np.full(len(Q_GRID), math.nan), math.nan, 0.0)
-    order = np.argsort(scores, kind="stable")
-    precision = np.empty(len(Q_GRID))
-    recall = np.empty(len(Q_GRID))
-    for i, q in enumerate(Q_GRID):
-        k = max(1, int(round(q * n)))
-        sel = order[:k]
-        tp = int(positive[sel].sum())
-        precision[i] = tp / k
-        recall[i] = tp / n_pos
+    tp = np.cumsum(positive[np.argsort(scores, kind="stable")])  # tp[k - 1]: positives among the k lowest
+    ks = np.array([max(1, int(round(q * n))) for q in Q_GRID])
     return SelectorReport(
         thresholds=thresholds,
-        precision=precision,
-        recall=recall,
+        precision=tp[ks - 1] / ks,
+        recall=tp[ks - 1] / n_pos,
         auc_pr=average_precision(scores, positive),
         positive_rate=n_pos / n,
     )

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adslab import stats
 from adslab.harness import selector_baseline
 from adslab.stats import (
     MIN_BOOT,
@@ -165,16 +166,22 @@ class TestKendall:
 
     def test_randomized_against_enumeration(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            n = int(rng.integers(3, 13))
-            x = rng.integers(0, 6, size=n).astype(float)  # heavy ties
-            y = rng.integers(0, 6, size=n).astype(float)
-            got = kendall(x, y)
-            want = kendall_pair_enumeration(x, y)
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(want, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # infinite values order like any other
+            for i in range(300):
+                n = int(rng.integers(3, 13))
+                x = rng.integers(0, 6, size=n).astype(float)  # heavy ties
+                y = rng.integers(0, 6, size=n).astype(float)
+                if i % 3 == 0:
+                    x[rng.random(n) < 0.3] = np.inf
+                    x[rng.random(n) < 0.3] = -np.inf
+                    y[rng.random(n) < 0.3] = np.inf
+                got = kendall(x, y)
+                want = kendall_pair_enumeration(x, y)
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert got == want
 
     def test_invariant_to_increasing_transform(self):
         rng = np.random.default_rng(2)
@@ -306,6 +313,20 @@ class TestDirectionConsistency:
     def test_all_tied_nan(self):
         assert math.isnan(direction_consistency([1.0, 1.0], [2.0, 3.0]))
 
+    def test_infinite_values_order_without_warning(self):
+        x = np.arange(30.0)
+        x[[3, 7]] = np.inf  # a tied pair of infinite values
+        x[12] = -np.inf
+        y = x[::-1].copy()
+        y[20] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the 1 agrees with the other three, the 2 disagrees with both infinite values,
+            # and the two infinite values tie
+            assert direction_consistency([1, np.inf, np.inf, 2], [1, 2, 3, 4]) == 3 / 5
+            assert (bootstrap_ci(x, y, n_boot=1000, seed=0)
+                    == bootstrap_ci_reference(x, y, 1000, seed=0))
+
     def test_tiny_differences_are_not_ties(self):
         # each product of differences underflows to 0, yet every pair is strictly ordered
         x = [0.0, 1e-200, 2e-200]
@@ -343,18 +364,43 @@ def test_correlation_report_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
-def test_correlation_report_scores_resamples_a_block_at_a_time():
-    """Peak traced memory of a 500-architecture report stays at its three n x n pair
-    matrices: holding every resample at once would add about 12 MB."""
+def traced_peak(statistic, *args, **kwargs):
+    """Peak traced memory of one call on REPORT_INPUTS."""
     inputs = {}
     exec(REPORT_INPUTS, inputs)
     tracemalloc.start()
     try:
-        correlation_report(inputs["x"], inputs["y"], n_perm=999, n_boot=1000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        statistic(inputs["x"], inputs["y"], *args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_correlation_report_scores_resamples_a_block_at_a_time():
+    """Peak traced memory of a 500-architecture report stays at the bootstrap's two
+    float64 n x n agreement matrices: holding every resample at once would add about 12 MB."""
+    peak = traced_peak(correlation_report, n_perm=999, n_boot=1000, seed=0)
     assert peak <= 6.88e6, peak
+
+
+@pytest.mark.parametrize("statistic", [kendall, direction_consistency])
+def test_pair_statistics_count_from_int8_orders(statistic):
+    """Two int8 n x n order matrices and their product are 0.75 MB at n = 500;
+    float64 pair matrices of the same shape are 2 MB each."""
+    peak = traced_peak(statistic)
+    assert peak <= 1.5e6, peak
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("spearman", {}), ("kendall", {}), ("direction_consistency", {}),
+    ("perm_p_value", {"n_perm": 999, "seed": 0}), ("bootstrap_ci", {"n_boot": 1000, "seed": 0}),
+    ("pr_analysis", {}),
+])
+def test_input_that_is_not_one_dimensional_refused(name, kwargs):
+    column, flat = np.arange(6.0).reshape(-1, 1), np.arange(6.0)
+    for x, y in ((column, flat), (flat, column)):
+        with pytest.raises(ValueError, match=rf"^{name} needs two equal-length 1-D vectors"):
+            getattr(stats, name)(x, y, **kwargs)
 
 
 class TestEce:
@@ -416,6 +462,20 @@ class TestPrAnalysis:
         rep = pr_analysis(scores, drift)
         assert rep.precision[-1] == pytest.approx(rep.positive_rate)
         assert rep.recall[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [4, 37, 500])
+    def test_every_threshold_against_hand_count(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.integers(0, 5, size=n).astype(float)  # heavy ties
+        drift = rng.standard_normal(n)
+        rep = pr_analysis(scores, drift)
+        positive = drift < np.median(drift)
+        n_pos = int(positive.sum())
+        order = sorted(range(n), key=lambda i: scores[i])  # Python's sort is stable
+        for q, precision, recall in zip(rep.thresholds, rep.precision, rep.recall):
+            k = max(1, int(round(float(q) * n)))
+            tp = sum(int(positive[i]) for i in order[:k])
+            assert (precision, recall) == (tp / k, tp / n_pos), q
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(14)
