@@ -9,11 +9,12 @@ seed. Pools serialize to a plain text manifest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clrun import write_atomic
+from .files import check_fields, write_atomic
 from .nncore import TOPOLOGY_TAGS, ArchitectureSpec
 
 # capped at width 1024 / depth 10; large enough for 35 unique specs per
@@ -51,10 +52,15 @@ class PoolConfig:
     output_dim: int = 10
 
     def __post_init__(self):
+        check_fields(self)
         if not self.width_candidates:
             raise ValueError("width candidate pool must be non-empty")
-        if any(c < 0 for c in self.per_category_counts.values()):
-            raise ValueError("per-category counts must be >= 0")
+        # no count_<tag> key is saved for an empty dict, so it would load as the default
+        if not self.per_category_counts:
+            raise ValueError("per_category_counts must name at least one category")
+        for tag, count in self.per_category_counts.items():
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"count_{tag} must be an integer >= 0, got {count!r}")
         if self.seed < 0:
             raise ValueError(f"pool seed must be >= 0, got {self.seed}")
         unknown = [f"count_{tag}" for tag in self.per_category_counts if tag not in TOPOLOGY_TAGS]

@@ -10,23 +10,24 @@ class:
 The width fit uses only layers whose input AND output widths are hidden
 widths (layer index >= 2), mirroring how the scaling law is stated over
 the hidden stack. Profiles are INI files with the same reader and writer
-as ``experiment.ini`` (``clrun.read_ini``, ``write_ini``), so a missing
+as ``experiment.ini`` (``files.read_ini``, ``write_ini``), so a missing
 or unknown key or section is refused; an experiment's ``[calib] profile``
 key is the path of a preset profile, copied into the experiment as
 ``params/preset.profile`` and scoring every scenario in place of a fit,
 which is how the "small shift" / "large shift" transfer presets work.
-``CalibrationParams`` is frozen and refuses a non-finite parameter.
+``CalibrationParams`` is frozen, refuses a non-finite parameter, and holds
+only values its profile reads back equal (``files.check_fields``).
 """
 
 from __future__ import annotations
 
 import math
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clrun import LayerTrace, RunRecord, parse_section, read_ini, write_ini
+from .clrun import LayerTrace, RunRecord
+from .files import check_fields, field_types, parse_section, read_ini, write_ini
 
 COS_LOG_FLOOR = 1e-8
 
@@ -44,6 +45,7 @@ class CalibrationParams:
     params_id: str = "params"
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("alpha", "beta", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite calibration parameter {name}")
@@ -187,7 +189,7 @@ def load_profile(path) -> CalibrationParams:
 
 
 def _profile_from_sections(sections: dict) -> CalibrationParams:
-    hints = typing.get_type_hints(CalibrationParams)
+    hints = field_types(CalibrationParams)
     values = {}
     for section, items in sections.items():
         values |= parse_section(section, items, PROFILE_KEYS, hints)

@@ -19,14 +19,10 @@ triangle inequality at any resolution, and the ratio measures
 macroscopic trajectory straightness without counting minibatch jitter
 as path. The raw per-step gradient-norm sum is kept alongside as a
 diagnostic.
-
-``write_atomic`` replaces a state file whole, and ``read_ini``/``write_ini``
-are the one INI codec of ``experiment.ini`` and parameter profiles.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 import math
@@ -112,7 +108,8 @@ class RunRecord:
     task2_eval_acc: float
     ece_before: float
     ece_after: float
-    wall_time: float
+    wall_time: float        # s of task 2, the trace finalize and the run's evaluations;
+                            # the shared task 1 and its gold gradient are not counted
     valid: bool = True
     note: str = ""
 
@@ -138,73 +135,6 @@ def append_records(path, records) -> None:
             fh.write(rec.to_json() + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-
-
-def write_atomic(path, write, mode: str = "w") -> None:
-    """Replace ``path`` whole or not at all: ``write(fh)`` fills a temp file beside
-    it, which is fsynced and then renamed over ``path``."""
-    tmp = f"{path}.tmp"
-    with open(tmp, mode) as fh:
-        write(fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def format_value(x) -> str:
-    """A CSV cell or an INI value as text; floats in full precision, tuples comma-joined."""
-    if isinstance(x, tuple):
-        return ",".join(map(format_value, x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def parse_value(section: str, key: str, tp, text: str):
-    """INI text to a value of the annotated field type (int, float, str or a tuple of
-    one); an empty text is the empty tuple, and an empty item of a tuple is refused."""
-    try:
-        if typing.get_origin(tp) is tuple:
-            item = typing.get_args(tp)[0]  # tuple[int, ...] or tuple[float, ...]
-            items = text.replace(" ", "").split(",") if text.strip() else []
-            if "" in items:
-                raise ValueError(f"empty item in {text!r}")
-            return tuple(map(item, items))
-        return tp(text)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] {key}: {exc}") from None
-
-
-def parse_section(section: str, items: dict, keys: dict, hints: dict) -> dict:
-    """Field values of one INI section; a key or section not in ``keys`` is refused."""
-    names = {key: name for name, (sec, key) in keys.items() if sec == section}
-    for key in items:
-        if key not in names:
-            raise ValueError(f"unknown key {key!r} in section [{section}]")
-    if not names:
-        raise ValueError(f"unknown section [{section}]")
-    return {names[key]: parse_value(section, key, hints[names[key]], text)
-            for key, text in items.items()}
-
-
-def read_ini(path, parse):
-    """``parse({section: {key: text}})`` of the INI file at ``path``, read literally
-    (no %-interpolation); a bad file or value raises ValueError naming the file."""
-    cp = configparser.ConfigParser(interpolation=None)
-    with open(path) as fh:
-        try:
-            cp.read_file(fh)
-            return parse({section: dict(cp[section]) for section in cp.sections()})
-        except (configparser.Error, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def write_ini(path, sections: dict) -> None:
-    """Replace ``path`` atomically with ``{section: {key: value}}`` as INI text."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict({section: {key: format_value(v) for key, v in items.items()}
-                  for section, items in sections.items()})
-    write_atomic(path, cp.write)
 
 
 def read_records(path) -> list[RunRecord]:

@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .files import check_fields
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -282,9 +284,8 @@ class ScenarioSpec:
     calib_fraction: float = 0.3
 
     def __post_init__(self):
+        check_fields(self)
         check_id("scenario id", self.scenario_id)
-        for name in ("classes_a", "classes_b"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.kind not in ("transfer", "split", "rotated"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         for frac in (self.eval_fraction, self.calib_fraction):

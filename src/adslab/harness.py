@@ -18,8 +18,10 @@ oversubscribe the CPUs. The BLAS thread count moves record bits; the worker
 count moves none. Every profile an experiment scores with, a preset included,
 lives in its ``params`` directory, so a report reads nothing outside it.
 ``ExperimentConfig`` is frozen and checked when built (change it with
-``dataclasses.replace``), and state files are replaced atomically. A resume
-under a changed config is refused, and one run at a time may use a directory.
+``dataclasses.replace``), and holds only values its snapshot reads back equal.
+Every file written here, the reports included, is replaced whole
+(``files.write_atomic``); records are appended. A resume under a changed
+config is refused, and one run at a time may use a directory.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import fcntl
 import itertools
 import math
 import os
-import typing
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -39,11 +40,12 @@ from .ads import compute_ads
 from .archpool import (PoolConfig, generate_pool, load_manifest, pool_entries, save_manifest,
                        _category_counts)
 from .calib import CalibrationParams, calibrate_params, load_profile, save_profile
-from .clrun import (TrainConfig, append_records, format_value, parse_section, parse_value,
-                    read_ini, read_records, run_scenario, task1_digest, train_task1,
-                    write_atomic, write_ini)
+from .clrun import (TrainConfig, append_records, read_records, run_scenario, task1_digest,
+                    train_task1)
 from .datasets import (Scenario, ScenarioSpec, dataset_paths, load_cifar10,
                        load_idx, make_scenario, sample_subset, subset_size)
+from .files import (check_fields, field_types, format_value, parse_section, parse_value,
+                    read_ini, write_atomic, write_ini)
 from .nncore import ArchitectureSpec, DivergenceError
 
 ENV_DATA_ROOT = "ADSLAB_DATA_ROOT"
@@ -77,9 +79,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Refuse every value a later stage would refuse, before any of it is saved."""
-        # a list would be written to experiment.ini as its repr, which no load reads
-        for name in ("scenarios", "seeds", "calib_fractions"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_fields(self)
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
         if not self.seeds:
@@ -188,8 +188,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _config_from_sections(sections: dict) -> ExperimentConfig:
-    hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(PoolConfig)
-    spec_hints = typing.get_type_hints(ScenarioSpec)
+    hints = field_types(ExperimentConfig) | field_types(PoolConfig)
+    spec_hints = field_types(ScenarioSpec)
     values, scenarios = {}, []
     for section, items in sections.items():
         if section == "scenario" or section.startswith("scenario "):
@@ -537,10 +537,11 @@ def selector_baseline(ads: np.ndarray, ece_drift: np.ndarray, n_perms: int, seed
 
 
 def write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
+    write_atomic(path, write)
 
 
 def emit_report(exp_dir: str) -> list:
@@ -687,8 +688,7 @@ def svg_scatter(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
         parts.append(f'<text x="{sx(x[i]) + 5:.1f}" y="{sy(y[i]) - 4:.1f}" '
                      f'font-size="8" fill="gray">{int(ranks[i])}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, lambda fh: fh.write("\n".join(parts) + "\n"))
 
 
 def svg_curve(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
@@ -699,5 +699,4 @@ def svg_curve(x, y, xlabel: str, ylabel: str, title: str, path) -> None:
     pts = " ".join(f"{sx(x[i]):.1f},{sy(y[i]):.1f}" for i in order)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="firebrick" stroke-width="2"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, lambda fh: fh.write("\n".join(parts) + "\n"))

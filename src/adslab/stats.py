@@ -6,7 +6,7 @@ once; the bootstrap interval is direction consistency's, taken from each
 resample's draw counts over the product of the two pair-order matrices.
 Both draw resamples one by one and score them a block at a time with exact
 sums, so the same bits come under any BLAS blocking or thread count. A tie
-is an equal value; Kendall and DC count a pair holding a NaN as tied.
+is an equal value, and every statistic refuses NaN input (±inf is ordered).
 
 All functions are pure and seed-deterministic. Undefined statistics
 (constant inputs, fully tied pairs) come back as NaN rather than raising,
@@ -37,6 +37,8 @@ def _paired(x, y, name: str, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < min_n:
         raise ValueError(f"{name} needs two equal-length 1-D vectors with n >= {min_n}")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError(f"{name} is undefined on NaN input")
     return x, y
 
 
@@ -79,7 +81,7 @@ def kendall(x, y) -> float:
     Each unordered pair appears twice, so the numerator is 2(C - D) and each
     count of non-zeros 2(n0 - t). For n <= 9000 every count product is below
     2**53, the factors of 2 cancel exactly, and this is the float of
-    (C - D) / sqrt((n0 - t_x)(n0 - t_y)). A pair holding a NaN is tied.
+    (C - D) / sqrt((n0 - t_x)(n0 - t_y)).
     """
     x, y = _paired(x, y, "kendall", 3)
     sx, sy = _orders(x), _orders(y)

@@ -466,6 +466,36 @@ class TestRunExperiment:
         assert [open(os.path.join(out, n), "rb").read()
                 for n in ("experiment.ini", "records.jsonl")] == before
 
+    @pytest.mark.parametrize("field, change", [
+        ("n_perm", lambda cfg: replace(cfg, n_perm=999.0)),
+        ("out_dir", lambda cfg: replace(cfg, out_dir=cfg.out_dir + "\r")),
+    ])
+    def test_a_config_that_would_not_reload_leaves_no_snapshot(self, tmp_path, data_root,
+                                                               field, change):
+        # such a config used to train every run, then strand the directory at its report
+        cfg = replace(tiny_config(str(data_root), seeds=(0,)), out_dir=str(tmp_path / "exp"))
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            run_experiment(change(cfg))
+        assert not list(tmp_path.rglob("experiment.ini"))
+
+    def test_a_report_write_that_raises_keeps_the_previous_file(self, data_root, monkeypatch):
+        # every report is replaced whole, so a failed rewrite leaves the last one
+        out = run_experiment(replace(shared_config(str(data_root), "exp_torn_report"),
+                                     seeds=(0,)))
+        before = reports(out)
+        format_cell = harness.format_value
+
+        def failing(value):
+            if value == "rot":  # the first cell of correlation.csv's second row
+                raise OSError("no space left on device")
+            return format_cell(value)
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "format_value", failing)
+            with pytest.raises(OSError, match="no space left"):
+                emit_report(out)
+        assert reports(out) == before
+
     def test_second_run_on_a_directory_refused(self, data_root):
         cfg = tiny_config(str(data_root), out_name="exp_locked", seeds=(0,))
         os.makedirs(cfg.out_dir)

@@ -391,15 +391,28 @@ def test_pair_statistics_count_from_int8_orders(statistic):
     assert peak <= 1.5e6, peak
 
 
-@pytest.mark.parametrize("name, kwargs", [
+# every public statistic of two paired vectors, with the arguments it needs beside them
+PAIRED_STATISTICS = [
     ("spearman", {}), ("kendall", {}), ("direction_consistency", {}),
     ("perm_p_value", {"n_perm": 999, "seed": 0}), ("bootstrap_ci", {"n_boot": 1000, "seed": 0}),
     ("pr_analysis", {}),
-])
+]
+
+
+@pytest.mark.parametrize("name, kwargs", PAIRED_STATISTICS)
 def test_input_that_is_not_one_dimensional_refused(name, kwargs):
     column, flat = np.arange(6.0).reshape(-1, 1), np.arange(6.0)
     for x, y in ((column, flat), (flat, column)):
         with pytest.raises(ValueError, match=rf"^{name} needs two equal-length 1-D vectors"):
+            getattr(stats, name)(x, y, **kwargs)
+
+
+@pytest.mark.parametrize("name, kwargs", PAIRED_STATISTICS)
+def test_nan_input_refused(name, kwargs):
+    # spearman would rank a NaN as the largest value, and a pair statistic count it as tied
+    with_nan, flat = np.array([1.0, np.nan, 2.0, 0.0, 3.0, 5.0]), np.arange(6.0)
+    for x, y in ((with_nan, flat), (flat, with_nan)):
+        with pytest.raises(ValueError, match=rf"^{name} is undefined on NaN input"):
             getattr(stats, name)(x, y, **kwargs)
 
 
