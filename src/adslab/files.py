@@ -1,16 +1,18 @@
 """The experiment directory's files: how they are written, and what they can hold.
 
 Two rules. Every file the library writes into an experiment is replaced
-whole (``write_atomic``); the one exception is ``records.jsonl``, which
-``clrun.append_records`` appends to. And ``experiment.ini`` and parameter
-profiles share one INI codec (``read_ini``/``write_ini``) that reads each
-value by its field's annotation, while ``check_fields`` refuses, when a
-config or profile is built, every value that codec would not read back equal.
+whole (``write_atomic``; a write that raises leaves no temp file); the one
+exception is ``records.jsonl``, which ``clrun.append_records`` appends to.
+And ``experiment.ini`` and parameter profiles share one INI codec
+(``read_ini``/``write_ini``) that reads each value by its field's
+annotation, while ``check_fields`` refuses, when a config or profile is
+built, every value that codec would not read back equal.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import numbers
 import os
@@ -21,13 +23,19 @@ import numpy as np
 
 def write_atomic(path, write, mode: str = "w") -> None:
     """Replace ``path`` whole or not at all: ``write(fh)`` fills a temp file beside
-    it, which is fsynced and then renamed over ``path``."""
+    it, which is fsynced and then renamed over ``path``. A write that raises removes
+    the temp file; one a killed process leaves is replaced by the next write."""
     tmp = f"{path}.tmp"
-    with open(tmp, mode) as fh:
-        write(fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def format_value(x) -> str:
@@ -94,9 +102,10 @@ def field_types(cls) -> dict:
 
 def check_fields(obj) -> None:
     """Refuse, naming the field, a value of the dataclass ``obj`` that the INI codec
-    would not read back equal: a bool or a non-integer in an int field, a bool or a
-    non-number in a float field, or text with surrounding whitespace or a line break,
-    which configparser strips or splits. Each ``tuple[...]`` field is stored as a tuple."""
+    would not read back equal: a bool or a non-integer in an int field, a bool, a
+    non-number or an int with no exact float (``10**23``, ``2**53 + 1``) in a float
+    field, or text with surrounding whitespace or a line break, which configparser
+    strips or splits. Each ``tuple[...]`` field is stored as a tuple."""
     for name, tp in field_types(type(obj)).items():
         values = (getattr(obj, name),)
         if typing.get_origin(tp) is tuple:
@@ -111,3 +120,13 @@ def check_fields(obj) -> None:
             if tp in (int, float) and (isinstance(v, bool) or not isinstance(
                     v, numbers.Integral if tp is int else numbers.Real)):
                 raise ValueError(f"{name} takes {tp.__name__} values, got {v!r}")
+            if tp is float and isinstance(v, numbers.Integral) and not _exact_float(int(v)):
+                raise ValueError(f"{name} takes float values, and the int {v!r} has no exact float")
+
+
+def _exact_float(n: int) -> bool:
+    """Whether float(n) is n, compared as Python ints; an int past the float range is not."""
+    try:
+        return float(n) == n
+    except OverflowError:
+        return False

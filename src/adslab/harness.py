@@ -87,6 +87,8 @@ class ExperimentConfig:
         train_config(self, steps=1, seed=0)  # TrainConfig's own checks of the shared fields
         for name, value, least in (("seeds", min(self.seeds), 0),
                                    ("workers", self.workers, 1), ("eval_cap", self.eval_cap, 1),
+                                   ("epochs_per_task", self.epochs_per_task, 1),
+                                   ("steps_per_task", self.steps_per_task, 0),
                                    ("calib n_archs", self.n_calib_archs, 1),
                                    ("n_perm", self.n_perm, stats.MIN_PERM),
                                    ("n_boot", self.n_boot, stats.MIN_BOOT),
@@ -264,7 +266,7 @@ def load_dataset_pool(cfg: ExperimentConfig) -> dict:
 def steps_for(cfg: ExperimentConfig, n_samples: int) -> int:
     if cfg.steps_per_task > 0:
         return cfg.steps_per_task
-    return max(1, math.ceil(n_samples / cfg.batch_size) * cfg.epochs_per_task)
+    return math.ceil(n_samples / cfg.batch_size) * cfg.epochs_per_task
 
 
 def train_config(cfg: ExperimentConfig, steps: int, seed: int) -> TrainConfig:
@@ -299,10 +301,9 @@ def calibration_task2(scenario: Scenario, fraction: float) -> Scenario:
 
 
 def pick_calibration_archs(pool: list, n: int) -> list:
-    """Deterministic spread over the pool (covers all categories)."""
-    if n >= len(pool):
-        return list(pool)
-    idx = np.unique(np.round(np.linspace(0, len(pool) - 1, n)).astype(int))
+    """Deterministic spread of n over the pool (covers all categories); all of it,
+    in order, when n >= its size."""
+    idx = np.unique(np.round(np.linspace(0, len(pool) - 1, min(n, len(pool)))).astype(int))
     return [pool[i] for i in idx]
 
 
@@ -529,8 +530,6 @@ def ads_scores(agg: ScenarioAggregate, arch_by_id: dict, params: CalibrationPara
 def selector_baseline(ads: np.ndarray, ece_drift: np.ndarray, n_perms: int, seed: int) -> float:
     """Mean AUC-PR of score-shuffled selectors (the random baseline)."""
     positive = stats.low_drift(ece_drift)
-    if not positive.any():
-        return math.nan
     rng = np.random.default_rng(seed)
     return float(np.mean([stats.average_precision(rng.permutation(ads), positive)
                           for _ in range(n_perms)]))

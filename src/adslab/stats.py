@@ -1,5 +1,6 @@
 """Rank correlations, permutation/bootstrap inference, calibration metrics,
-and the precision/recall selector analysis.
+and the precision/recall selector analysis, whose precisions, recalls and
+AUC-PR all read one running count of positives over one stable sort.
 
 The permutation p-value is Spearman's, taken by permuting ranks computed
 once; the bootstrap interval is direction consistency's, taken from each
@@ -240,36 +241,35 @@ def low_drift(ece_drift: np.ndarray) -> np.ndarray:
     return ece_drift < np.median(ece_drift)
 
 
-def average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Step-interpolated area under PR over the full low-score-first ranking."""
-    order = np.argsort(scores, kind="stable")
-    pos_sorted = positive[order]
-    n_pos = int(positive.sum())
+def _auc_pr(ranked: np.ndarray, tp: np.ndarray) -> float:
+    """Step-interpolated area under PR from the positive flags in ranking order and
+    their running count; NaN when there is no positive."""
+    n_pos = int(ranked.sum())
     if n_pos == 0:
         return math.nan
-    tp = np.cumsum(pos_sorted)
-    ranks = np.arange(1, len(scores) + 1)
-    precision_at = tp / ranks
-    return float((precision_at * pos_sorted).sum() / n_pos)
+    precision_at = tp / np.arange(1, len(tp) + 1)
+    return float((precision_at * ranked).sum() / n_pos)
+
+
+def average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
+    """Step-interpolated area under PR over the full low-score-first ranking."""
+    ranked = positive[np.argsort(scores, kind="stable")]
+    return _auc_pr(ranked, np.cumsum(ranked))
 
 
 def pr_analysis(scores, ece_drift) -> SelectorReport:
     """Selector evaluation: low score predicts drift below the cohort median."""
     scores, drift = _paired(scores, ece_drift, "pr_analysis", 4)
-    positive = low_drift(drift)
-    n = len(scores)
-    n_pos = int(positive.sum())
-    thresholds = np.asarray(Q_GRID, dtype=np.float64)
-    if n_pos == 0:
-        return SelectorReport(thresholds, np.full(len(Q_GRID), math.nan),
-                              np.full(len(Q_GRID), math.nan), math.nan, 0.0)
-    tp = np.cumsum(positive[np.argsort(scores, kind="stable")])  # tp[k - 1]: positives among the k lowest
+    ranked = low_drift(drift)[np.argsort(scores, kind="stable")]
+    tp = np.cumsum(ranked)  # tp[k - 1]: positives among the k lowest
+    n, n_pos = len(tp), int(tp[-1])
     ks = np.array([max(1, int(round(q * n))) for q in Q_GRID])
+    hits = tp[ks - 1] if n_pos else np.full(len(ks), math.nan)
     return SelectorReport(
-        thresholds=thresholds,
-        precision=tp[ks - 1] / ks,
-        recall=tp[ks - 1] / n_pos,
-        auc_pr=average_precision(scores, positive),
+        thresholds=np.asarray(Q_GRID, dtype=np.float64),
+        precision=hits / ks,
+        recall=hits / n_pos,
+        auc_pr=_auc_pr(ranked, tp),
         positive_rate=n_pos / n,
     )
 

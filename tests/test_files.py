@@ -14,7 +14,7 @@ from adslab.archpool import PoolConfig, load_manifest, pool_entries, save_manife
 from adslab.calib import CalibrationParams, load_profile, save_profile
 from adslab.clrun import LayerTrace, RunRecord, append_records, read_records
 from adslab.datasets import ScenarioSpec
-from adslab.files import field_types
+from adslab.files import field_types, write_atomic
 from adslab.harness import ExperimentConfig, _drop_torn_tail, load_config, save_config
 from adslab.nncore import TOPOLOGY_TAGS, ArchitectureSpec
 
@@ -33,7 +33,8 @@ PARAMS = CalibrationParams(0.2, -0.4, 2.0, 0.5, 0.9, 0.8, 50, source="mf@0.3",
 TEXT = st.text(max_size=6) | st.sampled_from([" a", "a ", "\t", "a\nb", "\r", "a\rb", "100%", ""])
 INTS = (st.integers(0, 3000) | st.integers() | st.integers(0, 2**63 - 1).map(np.int64)
         | st.floats() | st.booleans())
-FLOATS = st.floats() | st.integers(-10**6, 10**6) | st.booleans()
+# ints past 2**53 that no float holds, and past the float range
+FLOATS = st.floats() | st.integers() | st.integers(-2**1100, 2**1100) | st.booleans()
 
 
 def values(tp):
@@ -112,6 +113,10 @@ def test_a_profile_that_builds_reloads_equal(scratch, change):
     ("seeds", lambda: replace(CONFIG, seeds=(0.0,))),
     ("eval_cap", lambda: replace(CONFIG, eval_cap=True)),
     ("lr", lambda: replace(CONFIG, lr=True)),
+    ("lr", lambda: replace(CONFIG, lr=10**23)),  # would reload as 1e+23
+    ("lr", lambda: replace(CONFIG, lr=2**53 + 1)),
+    ("lr", lambda: replace(CONFIG, lr=np.int64(2**53 + 1))),
+    ("lr", lambda: replace(CONFIG, lr=10**400)),  # would reload as inf
     ("out_dir", lambda: replace(CONFIG, out_dir=" a")),
     ("data_root", lambda: replace(CONFIG, data_root="a\nb")),
     ("src", lambda: replace(SPEC, src="\r")),
@@ -128,6 +133,20 @@ def test_a_value_that_would_not_reload_refused_when_built(field, build):
 def test_numpy_numbers_pass():
     cfg = replace(CONFIG, seeds=(np.int64(4), 11), n_perm=np.int32(1999), lr=np.float64(0.0125))
     assert (cfg.seeds, cfg.n_perm, cfg.lr) == ((4, 11), 1999, 0.0125)
+
+
+def test_a_write_that_raises_leaves_the_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("old\n")
+
+    def torn(fh):
+        fh.write("new, half")
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space left"):
+        write_atomic(path, torn)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    assert path.read_text() == "old\n"
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field, change", [
         ("n_perm", lambda cfg: replace(cfg, n_perm=999.0)),
         ("out_dir", lambda cfg: replace(cfg, out_dir=cfg.out_dir + "\r")),
+        ("lr", lambda cfg: replace(cfg, lr=10**400)),  # its snapshot would load lr as inf
     ])
     def test_a_config_that_would_not_reload_leaves_no_snapshot(self, tmp_path, data_root,
                                                                field, change):
@@ -495,6 +496,7 @@ class TestRunExperiment:
             with pytest.raises(OSError, match="no space left"):
                 emit_report(out)
         assert reports(out) == before
+        assert not [n for n in os.listdir(os.path.join(out, "reports")) if n.endswith(".tmp")]
 
     def test_second_run_on_a_directory_refused(self, data_root):
         cfg = tiny_config(str(data_root), out_name="exp_locked", seeds=(0,))
@@ -772,7 +774,9 @@ class TestCli:
                                   ("experiment", "min_task1_acc", "2.0"),
                                   ("experiment", "min_task1_acc", "nan"),
                                   ("experiment", "seeds", "0,,1"), ("pool", "widths", "32,,"),
-                                  ("pool", "seed", "-1")]:
+                                  ("pool", "seed", "-1"),
+                                  ("train", "epochs_per_task", "0"),
+                                  ("train", "steps_per_task", "-5")]:
             cp = configparser.ConfigParser(interpolation=None)
             cp.read(good)
             cp[section][key] = bad
@@ -1076,3 +1080,10 @@ class TestAggregation:
         from adslab.calib import load_profile
         params = load_profile(out_profile)
         assert params.n_layer_records > 0
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 30])
+def test_calibration_takes_the_whole_pool_when_it_asks_for_as_many(size):
+    pool = [f"a{i}" for i in range(size)]
+    for n in (size, size + 1, size + 39):
+        assert pick_calibration_archs(pool, n) == pool

@@ -96,6 +96,35 @@ def selector_baseline_reference(ads, ece_drift, n_perms, seed):
     return float(np.mean(vals)) if vals else math.nan
 
 
+def average_precision_two_pass(scores, positive):
+    """AP that sorts on its own and counts the positives apart from the running count."""
+    order = np.argsort(scores, kind="stable")
+    pos_sorted = positive[order]
+    n_pos = int(positive.sum())
+    if n_pos == 0:
+        return math.nan
+    tp = np.cumsum(pos_sorted)
+    ranks = np.arange(1, len(scores) + 1)
+    precision_at = tp / ranks
+    return float((precision_at * pos_sorted).sum() / n_pos)
+
+
+def pr_analysis_two_pass(scores, ece_drift):
+    """The selector analysis with its thresholds and its AUC-PR sorted apart."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = stats.low_drift(np.asarray(ece_drift, dtype=np.float64))
+    n = len(scores)
+    n_pos = int(positive.sum())
+    thresholds = np.asarray(stats.Q_GRID, dtype=np.float64)
+    if n_pos == 0:
+        return stats.SelectorReport(thresholds, np.full(len(stats.Q_GRID), math.nan),
+                                    np.full(len(stats.Q_GRID), math.nan), math.nan, 0.0)
+    tp = np.cumsum(positive[np.argsort(scores, kind="stable")])
+    ks = np.array([max(1, int(round(q * n))) for q in stats.Q_GRID])
+    return stats.SelectorReport(thresholds, tp[ks - 1] / ks, tp[ks - 1] / n_pos,
+                                average_precision_two_pass(scores, positive), n_pos / n)
+
+
 def kendall_pair_enumeration(x, y):
     """Tau-b by explicit triple-loop pair counting."""
     n = len(x)
@@ -503,6 +532,35 @@ class TestPrAnalysis:
         rep = pr_analysis(np.arange(6.0), np.ones(6))
         assert rep.positive_rate == 0.0  # no drift is below the median of equal drifts
         assert math.isnan(rep.auc_pr)
+
+    @pytest.mark.parametrize("n", [4, 37, 500])
+    @pytest.mark.parametrize("drifts", ["tied", "tie-free", "all equal"])
+    def test_one_count_equals_two_passes(self, n, drifts):
+        for seed in range(5):
+            scores, drift = oracle_inputs(n, ties=seed % 2 == 0, seed=100 * n + seed)
+            if drifts == "tie-free":
+                drift = np.random.default_rng(seed).standard_normal(n)
+            elif drifts == "all equal":
+                drift = np.full(n, drift[0])  # no positive
+            got, want = pr_analysis(scores, drift), pr_analysis_two_pass(scores, drift)
+            assert repr(got) == repr(want)
+            for name in ("thresholds", "precision", "recall"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+            positive = stats.low_drift(drift)
+            assert (repr(average_precision(scores, positive))
+                    == repr(average_precision_two_pass(scores, positive)))
+
+    def test_sorts_once(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        pr_analysis(*oracle_inputs(37, ties=True, seed=5))
+        assert len(calls) == 1
 
     def test_average_precision_oracle(self):
         # hand case: scores [1,2,3,4], positives at ranks 1 and 3
