@@ -113,10 +113,13 @@ def test_a_profile_that_builds_reloads_equal(scratch, change):
     ("seeds", lambda: replace(CONFIG, seeds=(0.0,))),
     ("eval_cap", lambda: replace(CONFIG, eval_cap=True)),
     ("lr", lambda: replace(CONFIG, lr=True)),
-    ("lr", lambda: replace(CONFIG, lr=10**23)),  # would reload as 1e+23
-    ("lr", lambda: replace(CONFIG, lr=2**53 + 1)),
-    ("lr", lambda: replace(CONFIG, lr=np.int64(2**53 + 1))),
-    ("lr", lambda: replace(CONFIG, lr=10**400)),  # would reload as inf
+    pytest.param("lr", lambda: replace(CONFIG, lr=10**23),  # would reload as 1e+23
+                 id="lr-10**23"),
+    pytest.param("lr", lambda: replace(CONFIG, lr=2**53 + 1), id="lr-2**53+1"),
+    pytest.param("lr", lambda: replace(CONFIG, lr=np.int64(2**53 + 1)),
+                 id="lr-np.int64(2**53+1)"),
+    pytest.param("lr", lambda: replace(CONFIG, lr=10**400),  # would reload as inf
+                 id="lr-10**400"),
     ("out_dir", lambda: replace(CONFIG, out_dir=" a")),
     ("data_root", lambda: replace(CONFIG, data_root="a\nb")),
     ("src", lambda: replace(SPEC, src="\r")),
