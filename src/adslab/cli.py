@@ -15,7 +15,6 @@ from . import harness
 from .ads import compute_ads
 from .archpool import generate_pool, load_manifest, pool_entries, save_manifest
 from .calib import load_profile, save_profile
-from .datasets import make_scenario
 from .harness import emit_report, load_config, run_experiment
 from .nncore import ArchitectureSpec
 from .synthdata import check_counts, generate_dataset
@@ -101,8 +100,8 @@ def cmd_calibrate(args) -> int:
     if not matches:
         raise ValueError(f"no scenario {sid!r} in config")
     spec = matches[0]
-    datasets = harness.load_dataset_pool(cfg)
-    scenario = make_scenario(spec, datasets, seed=cfg.seeds[0], eval_cap=cfg.eval_cap)
+    # only the datasets this scenario names are loaded, and none outlives it
+    scenario = harness.build_scenarios(replace(cfg, scenarios=(spec,)))[sid]
     fraction = args.fraction if args.fraction is not None else cfg.fractions_for(spec)[0]
     wanted = {harness.profile_id(sid, fraction): (scenario, fraction)}
     (params,) = harness.run_calibration(cfg, wanted, pool_entries(generate_pool(cfg.pool))).values()

@@ -130,30 +130,44 @@ def _area_resize_weights(src: int, dst: int) -> np.ndarray:
 
 
 def rgb_to_gray28(rgb: np.ndarray) -> np.ndarray:
-    """(N, 3, 32, 32) [0,1] RGB to (N, 784) grayscale via luminance + area resize."""
-    gray = 0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2]
+    """(N, 3, 32, 32) RGB to (N, 784) grayscale via luminance + area resize.
+
+    Float input is in [0, 1]; uint8 bytes are scaled by 1/255 first. One
+    channel at a time is converted to float64, so no float64 copy of all
+    three channels is made."""
+    def luma(channel: int, weight: float) -> np.ndarray:
+        term = rgb[:, channel].astype(np.float64)
+        if rgb.dtype == np.uint8:
+            term /= 255.0
+        term *= weight
+        return term
+
+    gray = luma(0, 0.299)
+    gray += luma(1, 0.587)
+    gray += luma(2, 0.114)
     w = _area_resize_weights(32, 28)
     resized = np.einsum("ij,njk,lk->nil", w, gray, w)
     return resized.reshape(len(rgb), 28 * 28)
+
+
+def _read_cifar_batch(path) -> np.ndarray:
+    """The (n, 3073) uint8 records of one CIFAR-10 batch file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
+        raise ValueError(
+            f"{path}: size {len(data)} is not a multiple of the {CIFAR_RECORD_BYTES}-byte record"
+        )
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
 
 
 def load_cifar10(batch_paths: Sequence) -> Dataset:
     """Parse CIFAR-10 binary batches; converts to 28x28 grayscale (d_in = 784)."""
     if not batch_paths:
         raise ValueError("empty CIFAR batch list")
-    records = []
-    for path in batch_paths:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
-            raise ValueError(
-                f"{path}: size {len(data)} is not a multiple of the {CIFAR_RECORD_BYTES}-byte record"
-            )
-        records.append(np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
-    arr = np.vstack(records)
+    arr = np.concatenate([_read_cifar_batch(path) for path in batch_paths])
     labels = arr[:, 0].astype(np.int64)
-    rgb = arr[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    images = rgb_to_gray28(rgb)
+    images = rgb_to_gray28(arr[:, 1:].reshape(-1, 3, 32, 32))
     return Dataset(images, labels)
 
 
@@ -183,8 +197,11 @@ def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
     fr = src_r - r0
     fc = src_c - c0
 
-    imgs = ds.images.reshape(len(ds), side, side)
-    out = np.zeros_like(imgs)
+    # one buffer serves every corner; mode="clip" (the indices are clipped
+    # already) lets take fill it in place, where the default mode would
+    # buffer its output
+    out = np.zeros(ds.images.shape)
+    buf = np.empty(ds.images.shape)
     for dr, dc, wgt in (
         (0, 0, (1 - fr) * (1 - fc)),
         (0, 1, (1 - fr) * fc),
@@ -193,10 +210,11 @@ def rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
     ):
         ri, ci = r0 + dr, c0 + dc
         valid = (ri >= 0) & (ri < side) & (ci >= 0) & (ci < side)
-        ric = np.clip(ri, 0, side - 1)
-        cic = np.clip(ci, 0, side - 1)
-        out += np.where(valid, wgt, 0.0) * imgs[:, ric, cic]
-    return Dataset(out.reshape(len(ds), -1), ds.labels.copy())
+        flat_idx = (np.clip(ri, 0, side - 1) * side + np.clip(ci, 0, side - 1)).ravel()
+        np.take(ds.images, flat_idx, axis=1, out=buf, mode="clip")
+        np.multiply(buf, np.where(valid, wgt, 0.0).ravel(), out=buf)
+        out += buf
+    return Dataset(out, ds.labels.copy())
 
 
 def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +226,10 @@ def feature_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    return Dataset((ds.images - mean) / std, ds.labels.copy())
+    """(images - mean) / std in one new array: subtract into it, divide in place."""
+    images = np.subtract(ds.images, mean)
+    np.divide(images, std, out=images)
+    return Dataset(images, ds.labels.copy())
 
 
 def subset_size(n: int, fraction: float) -> int:
@@ -361,30 +382,31 @@ def make_scenario(spec: ScenarioSpec, pool: Mapping[str, Mapping[str, Dataset]],
     """Build the task datasets, eval split, and calibration subset for a scenario.
 
     ``pool`` maps dataset name to its {"train": ..., "test": ...} splits,
-    already loaded. Split scenarios remap each task's classes to [0, k);
-    transfer and rotated scenarios keep the 10-way label space. Each
-    evaluation set keeps its first ``eval_cap`` rows (a view; all if None).
+    already loaded; the scenario holds no array of it. Split scenarios remap
+    each task's classes to [0, k); transfer and rotated scenarios keep the
+    10-way label space. Each evaluation set is its own array of the first
+    ``eval_cap`` rows (all if None) of its subset: a subset reads only the
+    labels and the row count, so it is drawn from the transformed test split
+    before standardizing, and only the kept rows are standardized.
     """
     for name in spec.dataset_names:
         if name not in pool:
             raise ValueError(f"scenario {spec.scenario_id}: dataset {name!r} not loaded")
-    t1_train, t1_test, t2_train, t2_test = (
-        transform(pool[name][split]) for name, transform in spec.tasks()
-        for split in ("train", "test"))
+    tasks = spec.tasks()
+    (name1, transform1), (name2, transform2) = tasks
     n_classes = len(spec.classes_a) if spec.kind == "split" else 10
-
-    # freeze task-1 train statistics for every split of the scenario
-    mean, std = feature_stats(t1_train.images)
-    t1_train = standardize(t1_train, mean, std)
-    t1_test = standardize(t1_test, mean, std)
-    t2_train = standardize(t2_train, mean, std)
-    t2_test = standardize(t2_test, mean, std)
-
     ss = np.random.SeedSequence([seed, 0xD5])
     eval_seed, calib_seed, eval2_seed = (int(s) for s in ss.generate_state(3))
-    task1_eval = sample_subset(t1_test, spec.eval_fraction, eval_seed).take(slice(eval_cap))
-    task2_eval = sample_subset(t2_test, spec.eval_fraction, eval2_seed).take(slice(eval_cap))
+
+    # freeze task-1 train statistics for every split of the scenario
+    t1_train = transform1(pool[name1]["train"])
+    mean, std = feature_stats(t1_train.images)
+    task1_eval, task2_eval = (
+        standardize(sample_subset(transform(pool[name]["test"]), spec.eval_fraction,
+                                  subset_seed).take(slice(eval_cap)), mean, std)
+        for (name, transform), subset_seed in zip(tasks, (eval_seed, eval2_seed)))
+    t1_train = standardize(t1_train, mean, std)
+    t2_train = standardize(transform2(pool[name2]["train"]), mean, std)
     calib = sample_subset(t1_train, spec.calib_fraction, calib_seed)
 
     return Scenario(spec, t1_train, task1_eval, t2_train, calib, task2_eval, n_classes, seed)
-

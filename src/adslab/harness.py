@@ -11,6 +11,8 @@ scenarios share a task-1 digest, in any order, are one job, which trains task
 the order of their first key (arch-major), once every job before it is
 complete, whatever the worker count. Every aggregate is computed from the
 key-sorted stream, so the record order never changes a reported number.
+A loaded dataset lives only until the last scenario that names it is built,
+so no job runs beside a raw copy of the data.
 Calibration runs evaluate at most 512 rows per evaluation set, as a fit reads
 only their traces. Jobs run one at a time in the calling thread: by default
 each drives a BLAS that runs one thread per CPU, so worker threads would only
@@ -259,6 +261,22 @@ def load_dataset_pool(cfg: ExperimentConfig) -> dict:
     return {name: load_named_dataset(root, name) for name in names}
 
 
+def build_scenarios(cfg: ExperimentConfig) -> dict:
+    """{scenario id: scenario} of every scenario of ``cfg``, built from the
+    datasets they name. Each loaded dataset is dropped as soon as the last
+    scenario that names it is built, so no raw array outlives the scenarios."""
+    datasets = load_dataset_pool(cfg)
+    last_use = {name: i for i, spec in enumerate(cfg.scenarios) for name in spec.dataset_names}
+    scenarios = {}
+    for i, spec in enumerate(cfg.scenarios):
+        scenarios[spec.scenario_id] = make_scenario(spec, datasets, seed=cfg.seeds[0],
+                                                    eval_cap=cfg.eval_cap)
+        for name in spec.dataset_names:
+            if last_use[name] == i:
+                del datasets[name]
+    return scenarios
+
+
 # ---------------------------------------------------------------------------
 # experiment phases
 # ---------------------------------------------------------------------------
@@ -430,10 +448,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None, pool_manifest: str | No
         # everything that can refuse the config runs before its snapshot is saved;
         # that includes a bad ADSLAB_WORKERS, although the jobs run one at a time
         cfg.resolved_workers()
-        datasets = load_dataset_pool(cfg)
-        scenarios = {s.scenario_id: make_scenario(s, datasets, seed=cfg.seeds[0],
-                                                  eval_cap=cfg.eval_cap)
-                     for s in cfg.scenarios}
+        scenarios = build_scenarios(cfg)
         manifest_path = os.path.join(out, "pool.manifest")
         source = pool_manifest or manifest_path
         pool = None if pool_manifest or os.path.exists(manifest_path) else generate_pool(cfg.pool)

@@ -2,11 +2,15 @@
 
 import re
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from adslab import datasets
 from adslab.datasets import (
+    CIFAR_RECORD_BYTES,
     Dataset,
     IdxFormatError,
     ScenarioSpec,
@@ -20,6 +24,86 @@ from adslab.datasets import (
     standardize,
 )
 from adslab.synthdata import generate_dataset, synth_images, write_idx_pair
+
+
+# ---------------------------------------------------------------------------
+# reference bodies: rotation, CIFAR loading and scenario building in their
+# direct forms, with full-size temporaries; the library must give the same bytes
+# ---------------------------------------------------------------------------
+
+def reference_rotate_images(ds: Dataset, angle_deg: float) -> Dataset:
+    side = int(round(np.sqrt(ds.n_features)))
+    if angle_deg == 0:
+        return Dataset(ds.images.copy(), ds.labels.copy())
+    theta = np.deg2rad(angle_deg)
+    c, s = np.cos(theta), np.sin(theta)
+    center = (side - 1) / 2.0
+    rr, cc = np.meshgrid(np.arange(side, dtype=np.float64),
+                         np.arange(side, dtype=np.float64), indexing="ij")
+    y = rr - center
+    x = cc - center
+    src_r = center + (c * y + s * x)
+    src_c = center + (-s * y + c * x)
+    r0 = np.floor(src_r).astype(np.int64)
+    c0 = np.floor(src_c).astype(np.int64)
+    fr = src_r - r0
+    fc = src_c - c0
+    imgs = ds.images.reshape(len(ds), side, side)
+    out = np.zeros_like(imgs)
+    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+        ri, ci = r0 + dr, c0 + dc
+        valid = (ri >= 0) & (ri < side) & (ci >= 0) & (ci < side)
+        ric = np.clip(ri, 0, side - 1)
+        cic = np.clip(ci, 0, side - 1)
+        out += np.where(valid, wgt, 0.0) * imgs[:, ric, cic]
+    return Dataset(out.reshape(len(ds), -1), ds.labels.copy())
+
+
+def reference_load_cifar10(batch_paths) -> Dataset:
+    records = [np.frombuffer(open(path, "rb").read(), dtype=np.uint8)
+               .reshape(-1, CIFAR_RECORD_BYTES) for path in batch_paths]
+    arr = np.vstack(records)
+    rgb = arr[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    gray = 0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2]
+    w = datasets._area_resize_weights(32, 28)
+    images = np.einsum("ij,njk,lk->nil", w, gray, w).reshape(len(rgb), 28 * 28)
+    return Dataset(images, arr[:, 0].astype(np.int64))
+
+
+def reference_make_scenario(spec, pool, seed, eval_cap=None):
+    def reference_standardize(ds, mean, std):
+        return Dataset((ds.images - mean) / std, ds.labels.copy())
+
+    t1_train, t1_test, t2_train, t2_test = (
+        transform(pool[name][split]) for name, transform in spec.tasks()
+        for split in ("train", "test"))
+    n_classes = len(spec.classes_a) if spec.kind == "split" else 10
+    mean, std = feature_stats(t1_train.images)
+    t1_train = reference_standardize(t1_train, mean, std)
+    t1_test = reference_standardize(t1_test, mean, std)
+    t2_train = reference_standardize(t2_train, mean, std)
+    t2_test = reference_standardize(t2_test, mean, std)
+    ss = np.random.SeedSequence([seed, 0xD5])
+    eval_seed, calib_seed, eval2_seed = (int(s) for s in ss.generate_state(3))
+    task1_eval = sample_subset(t1_test, spec.eval_fraction, eval_seed).take(slice(eval_cap))
+    task2_eval = sample_subset(t2_test, spec.eval_fraction, eval2_seed).take(slice(eval_cap))
+    calib = sample_subset(t1_train, spec.calib_fraction, calib_seed)
+    return datasets.Scenario(spec, t1_train, task1_eval, t2_train, calib, task2_eval,
+                             n_classes, seed)
+
+
+SCENARIO_SETS = ("task1_train", "task1_eval", "task2_train", "calib_subset", "task2_eval")
+
+
+def scenario_bytes(sc) -> list:
+    return [sc.n_classes] + [(getattr(sc, name).images.tobytes(),
+                              getattr(sc, name).labels.tobytes()) for name in SCENARIO_SETS]
+
+
+def scenario_nbytes(sc) -> int:
+    return sum(getattr(sc, name).images.nbytes + getattr(sc, name).labels.nbytes
+               for name in SCENARIO_SETS)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +197,28 @@ class TestLoadCifar10:
         gray = rgb_to_gray28(rgb)
         np.testing.assert_allclose(gray, 1.0, atol=1e-12)
 
+    def test_bytes_equal_the_float64_rgb_reference(self, tmp_path):
+        paths = [tmp_path / "b1.bin", tmp_path / "b2.bin"]
+        self.make_batch(paths[0], 70, 2)
+        self.make_batch(paths[1], 40, 3)
+        ds, ref = load_cifar10(paths), reference_load_cifar10(paths)
+        assert (ds.images.tobytes(), ds.labels.tobytes()) == \
+               (ref.images.tobytes(), ref.labels.tobytes())
+
+    def test_peak_memory_at_most_four_times_the_output(self, tmp_path):
+        # a float64 copy of all three channels alone is 3072 / 784 = 3.9 times
+        # the output, so only a conversion one channel at a time stays below 4
+        paths = [tmp_path / "b1.bin", tmp_path / "b2.bin"]
+        self.make_batch(paths[0], 300, 4)
+        self.make_batch(paths[1], 200, 5)
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (ds.images.nbytes + ds.labels.nbytes), peak
+
     def test_bad_record_size_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\x00" * 5000)
@@ -143,6 +249,13 @@ class TestRotate:
         bilinear = rotate_images(ds, 1e-300)
         assert copy.images.tobytes() == bilinear.images.tobytes() == ds.images.tobytes()
         assert not np.shares_memory(copy.images, ds.images)
+
+    @pytest.mark.parametrize("angle", [45.0, 22.5, 90.0, 359.0, 1e-300])
+    def test_bytes_equal_the_reference(self, idx_pair, angle):
+        for ds in (self.grid_ds(), load_idx(*idx_pair[:2])):
+            rot, ref = rotate_images(ds, angle), reference_rotate_images(ds, angle)
+            assert (rot.images.tobytes(), rot.labels.tobytes()) == \
+                   (ref.images.tobytes(), ref.labels.tobytes())
 
     def test_full_turn_identity_within_tolerance(self):
         ds = self.grid_ds()
@@ -296,6 +409,50 @@ class TestMakeScenario:
                    (full.images[:n].tobytes(), full.labels[:n].tobytes())
         for name in ("task1_train", "task2_train", "calib_subset"):
             assert getattr(cut, name).images.tobytes() == getattr(whole, name).images.tobytes()
+
+    @pytest.mark.parametrize("eval_cap", [None, 1])
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist", eval_fraction=0.5),
+        ScenarioSpec("split_m", "split", dataset="mnist",
+                     classes_a=(0, 2, 4, 6, 8), classes_b=(1, 3, 5, 7, 9)),
+        ScenarioSpec("rot", "rotated", dataset="mnist", angle_a=0.0, angle_b=45.0),
+        ScenarioSpec("rot2", "rotated", dataset="fashion_mnist", angle_a=30.0, angle_b=90.0),
+        # 3 of 300 test rows: too few for one per class, so the draw is unstratified
+        ScenarioSpec("mf_tiny", "transfer", src="mnist", dst="fashion_mnist",
+                     eval_fraction=0.01),
+    ], ids=lambda spec: spec.scenario_id)
+    def test_bytes_equal_the_reference(self, synth_pool, monkeypatch, spec, eval_cap):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            sc = make_scenario(spec, synth_pool, seed=4, eval_cap=eval_cap)
+        monkeypatch.setattr(datasets, "rotate_images", reference_rotate_images)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            ref = reference_make_scenario(spec, synth_pool, seed=4, eval_cap=eval_cap)
+        assert scenario_bytes(sc) == scenario_bytes(ref)
+        assert [str(w.message) for w in got] == [str(w.message) for w in expected]
+        assert bool(expected) == (spec.scenario_id == "mf_tiny")
+
+    def test_every_set_is_its_own_array(self, synth_pool):
+        spec = ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist")
+        sc = make_scenario(spec, synth_pool, seed=0, eval_cap=20)
+        arrays = [getattr(sc, name).images for name in SCENARIO_SETS]
+        arrays += [split.images for splits in synth_pool.values() for split in splits.values()]
+        for i, a in enumerate(arrays[:len(SCENARIO_SETS)]):
+            assert a.base is None
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_transfer_peaks_within_a_tenth_of_what_it_returns(self, synth_pool):
+        # standardizing whole test splits before drawing the evaluation sets
+        # would hold two splits more than the scenario keeps
+        spec = ScenarioSpec("mf", "transfer", src="mnist", dst="fashion_mnist")
+        tracemalloc.start()
+        try:
+            sc = make_scenario(spec, synth_pool, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * scenario_nbytes(sc), (peak, scenario_nbytes(sc))
 
     def test_split_without_a_class_names_the_scenario(self, synth_pool):
         spec = ScenarioSpec("split_x", "split", dataset="mnist",

@@ -9,6 +9,7 @@ import re
 import shutil
 import threading
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields, replace
 
@@ -109,6 +110,45 @@ def stand_alone_line(cfg, scenario, arch, arch_id, seed):
     d = json.loads(rec.to_json())
     d.pop("wall_time")
     return json.dumps(d, sort_keys=True)
+
+
+class FirstJob(Exception):
+    """Raised in place of the first job, once what it sees is recorded."""
+
+
+def watch_loaded_datasets(monkeypatch) -> dict:
+    """Patch harness.load_dataset_pool to keep a weakref to every array it
+    returns, and make_scenario and run_job to record, as each is first
+    called, which datasets still have a live array. The first job raises
+    ``FirstJob`` instead of training."""
+    refs: dict = {}
+    seen = {"loaded": [], "make_scenario": [], "run_job": []}
+    original_load, original_make = harness.load_dataset_pool, harness.make_scenario
+
+    def alive() -> list:
+        return sorted(name for name, arrays in refs.items()
+                      if any(ref() is not None for ref in arrays))
+
+    def loading(cfg):
+        pool = original_load(cfg)
+        for name, splits in pool.items():
+            refs[name] = [weakref.ref(a) for ds in splits.values()
+                          for a in (ds.images, ds.labels)]
+        seen["loaded"] = sorted(pool)
+        return pool
+
+    def making(spec, *args, **kwargs):
+        seen["make_scenario"].append((spec.scenario_id, alive()))
+        return original_make(spec, *args, **kwargs)
+
+    def first_job(*args, **kwargs):
+        seen["run_job"].append(alive())
+        raise FirstJob
+
+    monkeypatch.setattr(harness, "load_dataset_pool", loading)
+    monkeypatch.setattr(harness, "make_scenario", making)
+    monkeypatch.setattr(harness, "run_job", first_job)
+    return seen
 
 
 def reports(out):
@@ -366,6 +406,16 @@ class TestRunExperiment:
                                    seeds=(0,), workers=2))
         assert len(threads) == 4 + 6  # calibration and pool jobs
         assert set(threads.values()) == {threading.get_ident()}
+
+    def test_no_loaded_array_is_alive_when_the_first_job_runs(self, data_root, monkeypatch):
+        # fashion_mnist is named by mf only, so it is dropped before rot is built
+        seen = watch_loaded_datasets(monkeypatch)
+        with pytest.raises(FirstJob):
+            run_experiment(shared_config(str(data_root), "exp_drop_pool"))
+        assert seen == {"loaded": ["fashion_mnist", "mnist"],
+                        "make_scenario": [("mf", ["fashion_mnist", "mnist"]),
+                                          ("rot", ["mnist"])],
+                        "run_job": [[]]}
 
     def test_calibration_fraction_without_samples_refused_before_the_snapshot(self, data_root):
         # 0.0005 of 700 task-1 images rounds to none; refused after the snapshot,
@@ -1067,6 +1117,17 @@ class TestAggregation:
         assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(profile)]) == 0
         assert profile.read_bytes() == open(os.path.join(out, "params", "mf_f100.profile"),
                                             "rb").read()
+
+    def test_calibrate_loads_only_its_scenarios_datasets(self, tmp_path, data_root,
+                                                           monkeypatch):
+        cfg_path = tmp_path / "c.ini"
+        save_config(shared_config(str(data_root), "unused"), cfg_path)
+        seen = watch_loaded_datasets(monkeypatch)
+        with pytest.raises(FirstJob):
+            cli_main(["calibrate", "--config", str(cfg_path), "--scenario", "rot",
+                      "--out", str(tmp_path / "p.profile")])
+        assert seen == {"loaded": ["mnist"], "make_scenario": [("rot", ["mnist"])],
+                        "run_job": [[]]}
 
     def test_calibrate_cli(self, tmp_path, data_root, capsys):
         cfg = tiny_config(str(data_root))
